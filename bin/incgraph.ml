@@ -52,29 +52,11 @@ let seed_arg =
   let doc = "Random seed." in
   Arg.(value & opt int 2017 & info [ "seed" ] ~doc ~docv:"N")
 
-let backend_conv =
-  let parse s =
-    match Core.Digraph.backend_of_string s with
-    | Some b -> Ok b
-    | None -> Error (`Msg (Printf.sprintf "unknown backend %S (hashtbl|csr)" s))
-  in
-  Arg.conv
-    (parse, fun ppf b -> Format.pp_print_string ppf (Core.Digraph.backend_name b))
-
-let backend_arg =
-  let doc =
-    "Graph backend: $(b,hashtbl) (mutable adjacency tables, the default) or \
-     $(b,csr) (flat compressed-sparse-row arrays behind a sorted delta \
-     overlay). Answers are identical; layout and cost differ."
-  in
-  Arg.(value & opt backend_conv `Hashtbl & info [ "backend" ] ~doc ~docv:"B")
-
-let load ~backend path =
-  let g = Core.Io.load ~backend path in
-  Format.printf "loaded %s: %d nodes, %d edges (%s)@." path
+let load path =
+  let g = Core.Io.load path in
+  Format.printf "loaded %s: %d nodes, %d edges@." path
     (Core.Digraph.n_nodes g)
-    (Core.Digraph.n_edges g)
-    (Core.Digraph.backend_name (Core.Digraph.backend g));
+    (Core.Digraph.n_edges g);
   g
 
 (* ---- generate ------------------------------------------------------------ *)
@@ -118,7 +100,7 @@ let generate_cmd =
              Δ1/Δ2 bridge insertions."
           ~docv:"N")
   in
-  let run profile scale out seed backend gadget =
+  let run profile scale out seed gadget =
     match gadget with
     | Some cycle ->
         let gd = Core.Theory.Gadget.make ~cycle in
@@ -137,7 +119,7 @@ let generate_cmd =
     | None ->
         let rng = Random.State.make [| seed |] in
         let g =
-          Core.Workload.Profiles.instantiate ~scale ~backend ~rng profile
+          Core.Workload.Profiles.instantiate ~scale ~rng profile
         in
         Core.Io.save out g;
         Format.printf "wrote %s: %d nodes, %d edges, %d labels@." out
@@ -146,7 +128,7 @@ let generate_cmd =
   in
   Cmd.v
     (Cmd.info "generate" ~doc:"Generate a synthetic labeled graph.")
-    Term.(const run $ profile $ scale $ out $ seed_arg $ backend_arg $ gadget)
+    Term.(const run $ profile $ scale $ out $ seed_arg $ gadget)
 
 (* ---- query class arguments ------------------------------------------------ *)
 
@@ -225,17 +207,17 @@ let run_query g = function
       Format.printf "SIM: %d relation pairs in %.3fs@." (List.length ps) t
 
 let query_cmd =
-  let run path backend cls bound args =
+  let run path cls bound args =
     match qspec_of ~cls ~bound ~args with
     | Error e -> `Error (false, e)
     | Ok spec ->
-        run_query (load ~backend path) spec;
+        run_query (load path) spec;
         `Ok ()
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Answer one query with the batch algorithm.")
     Term.(
-      ret (const run $ graph_arg $ backend_arg $ cls_arg $ bound_arg $ qargs_arg))
+      ret (const run $ graph_arg $ cls_arg $ bound_arg $ qargs_arg))
 
 (* ---- stream / top ---------------------------------------------------------- *)
 
@@ -365,7 +347,7 @@ let stream_cmd =
             "Drop clock- and GC-derived series from the snapshots so two \
              runs of the same update sequence emit byte-identical files.")
   in
-  let run path backend cls bound args batches size ratio seed metrics_out
+  let run path cls bound args batches size ratio seed metrics_out
       slo_cfg every retain det =
     match qspec_of ~cls ~bound ~args with
     | Error e -> `Error (false, e)
@@ -384,7 +366,7 @@ let stream_cmd =
         match slo with
         | Error e -> `Error (false, e)
         | Ok slo ->
-            let g = load ~backend path in
+            let g = load path in
             let rng = Random.State.make [| seed |] in
             let tr =
               if Option.is_some slo || Option.is_some metrics_out then
@@ -449,7 +431,7 @@ let stream_cmd =
           each snapshot and report violations.")
     Term.(
       ret
-        (const run $ graph_arg $ backend_arg $ cls_arg $ bound_arg $ qargs_arg
+        (const run $ graph_arg $ cls_arg $ bound_arg $ qargs_arg
        $ batches $ size $ ratio $ seed_arg $ metrics_out $ slo_arg $ every_arg
        $ retain_arg $ det_arg))
 
@@ -731,18 +713,20 @@ let bench_cmd =
       & info [ "o"; "out" ] ~doc:"Write the json report to $(docv)."
           ~docv:"FILE")
   in
-  let run path backend cls bound args size reps seed json out =
+  let run path cls bound args size reps seed json out =
     match qspec_of ~cls ~bound ~args with
     | Error e -> `Error (false, e)
     | Ok spec ->
-        let g = Core.Io.load ~backend path in
+        let g = Core.Io.load path in
         let rng = Random.State.make [| seed |] in
         let report =
           Obs.Report.create ~tool:"incgraph-cli"
             ~config:
               [
                 ("graph", Obs.Json.Str path);
-                ("backend", Obs.Json.Str (Core.Digraph.backend_name backend));
+                ("backend",
+                  Obs.Json.Str
+                    (Core.Digraph.backend_name (Core.Digraph.backend g)));
                 ("class", Obs.Json.Str cls);
                 ("size", Obs.Json.Int size);
                 ("reps", Obs.Json.Int reps);
@@ -818,7 +802,7 @@ let bench_cmd =
           report.")
     Term.(
       ret
-        (const run $ graph_arg $ backend_arg $ cls_arg $ bound_arg $ qargs_arg
+        (const run $ graph_arg $ cls_arg $ bound_arg $ qargs_arg
        $ size_arg $ reps $ seed_arg $ json_flag $ out))
 
 let stats_cmd =
@@ -843,11 +827,11 @@ let stats_cmd =
             "Dump the registry in OpenMetrics / Prometheus text exposition \
              format instead of text or json.")
   in
-  let run path backend cls bound args batches size seed json histo prom =
+  let run path cls bound args batches size seed json histo prom =
     match qspec_of ~cls ~bound ~args with
     | Error e -> `Error (false, e)
     | Ok spec ->
-        let g = Core.Io.load ~backend path in
+        let g = Core.Io.load path in
         let rng = Random.State.make [| seed |] in
         let o, apply, _, inc_name, _ = session_with_obs g spec in
         for _ = 1 to batches do
@@ -892,7 +876,7 @@ let stats_cmd =
           $(b,--prom) — OpenMetrics text exposition.")
     Term.(
       ret
-        (const run $ graph_arg $ backend_arg $ cls_arg $ bound_arg $ qargs_arg
+        (const run $ graph_arg $ cls_arg $ bound_arg $ qargs_arg
        $ batches $ size_arg $ seed_arg $ json_flag $ histo $ prom))
 
 (* ---- trace / explain ------------------------------------------------------- *)
@@ -920,11 +904,11 @@ let trace_cmd =
           ~doc:"Ring-buffer capacity; older events beyond it are dropped."
           ~docv:"N")
   in
-  let run path backend cls bound args batches size seed out cap =
+  let run path cls bound args batches size seed out cap =
     match qspec_of ~cls ~bound ~args with
     | Error e -> `Error (false, e)
     | Ok spec ->
-        let g = Core.Io.load ~backend path in
+        let g = Core.Io.load path in
         let rng = Random.State.make [| seed |] in
         let tr = Tracer.create ~capacity:cap () in
         let _, apply, _, inc_name, _ = session_with_obs ~trace:tr g spec in
@@ -954,7 +938,7 @@ let trace_cmd =
           chrome://tracing. Deterministic for a fixed graph and seed.")
     Term.(
       ret
-        (const run $ graph_arg $ backend_arg $ cls_arg $ bound_arg $ qargs_arg
+        (const run $ graph_arg $ cls_arg $ bound_arg $ qargs_arg
        $ batches_arg $ size_arg $ seed_arg $ out $ cap))
 
 (* Worked explanation of the Figure 9 gadget: Δ1 is output-silent yet the
@@ -1011,7 +995,7 @@ let explain_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"CLASS" ~doc:"Query class: kws, rpq, scc, sim or iso.")
   in
-  let run gadget limit path backend cls bound args batches size seed =
+  let run gadget limit path cls bound args batches size seed =
     match gadget with
     | Some n when n >= 2 ->
         explain_gadget n limit;
@@ -1026,7 +1010,7 @@ let explain_cmd =
             match qspec_of ~cls ~bound ~args with
             | Error e -> `Error (false, e)
             | Ok spec ->
-                let g = Core.Io.load ~backend path in
+                let g = Core.Io.load path in
                 let rng = Random.State.make [| seed |] in
                 let tr = Tracer.create () in
                 let _, apply, _, inc_name, _ =
@@ -1057,7 +1041,7 @@ let explain_cmd =
           traces Ω(n) settling work, Δ2 then flips the answer on.")
     Term.(
       ret
-        (const run $ gadget $ limit $ graph_opt $ backend_arg $ cls_opt
+        (const run $ gadget $ limit $ graph_opt $ cls_opt
        $ bound_arg $ qargs_arg $ batches_arg $ size_arg $ seed_arg))
 
 (* ---- compare -------------------------------------------------------------- *)
@@ -1425,13 +1409,13 @@ let fuzz_cmd =
       & info [ "out-dir" ]
           ~doc:"Directory for failure reproduction artifacts." ~docv:"DIR")
   in
-  let run algo steps nodes edges labels out_dir backend seed =
+  let run algo steps nodes edges labels out_dir seed =
     let size : C.Scenarios.size = { nodes; edges; labels } in
     let rng = Random.State.make [| seed |] in
     let scenarios =
-      if algo = "all" then Ok (C.Scenarios.all ~backend ~rng ~size ())
+      if algo = "all" then Ok (C.Scenarios.all ~rng ~size ())
       else
-        match C.Scenarios.by_name ~backend ~rng ~size algo with
+        match C.Scenarios.by_name ~rng ~size algo with
         | Some s -> Ok [ s ]
         | None -> Error (Printf.sprintf "unknown fuzz scenario %S" algo)
     in
@@ -1442,10 +1426,8 @@ let fuzz_cmd =
         List.iter
           (fun (s : C.Scenarios.t) ->
             Format.printf
-              "fuzz %-6s seed %d (%s): %d steps against batch oracle...@?"
-              s.C.Scenarios.name seed
-              (Core.Digraph.backend_name backend)
-              steps;
+              "fuzz %-6s seed %d: %d steps against batch oracle...@?"
+              s.C.Scenarios.name seed steps;
             let result, t =
               time (fun () ->
                   C.Harness.run ~make:s.C.Scenarios.make
@@ -1481,7 +1463,7 @@ let fuzz_cmd =
     Term.(
       ret
         (const run $ algo $ steps $ nodes $ edges $ labels $ out_dir
-       $ backend_arg $ seed_arg))
+       $ seed_arg))
 
 (* ---- journal / replay / snapshot / undo ------------------------------------ *)
 

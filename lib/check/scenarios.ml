@@ -22,15 +22,15 @@ type size = { nodes : int; edges : int; labels : int }
 
 let default_size = { nodes = 28; edges = 80; labels = 4 }
 
-let base_graph ?backend ~rng { nodes; edges; labels } =
-  let g = G.uniform ?backend ~rng ~nodes ~edges ~labels () in
+let base_graph ~rng { nodes; edges; labels } =
+  let g = G.uniform ~rng ~nodes ~edges ~labels () in
   (* A couple of planted chorded cycles so SCC merges/splits and long
      matching paths actually occur at this scale. *)
   G.plant_local_sccs ~rng g ~count:2 ~size:(max 3 (nodes / 6));
   g
 
-let kws ?backend ~rng ?(size = default_size) () =
-  let base = base_graph ?backend ~rng size in
+let kws ~rng ?(size = default_size) () =
+  let base = base_graph ~rng size in
   let q = Q.kws ~rng base ~m:2 ~b:2 in
   {
     name = "kws";
@@ -40,8 +40,8 @@ let kws ?backend ~rng ?(size = default_size) () =
     qspec = ("kws", q.Ig_kws.Batch.bound, q.Ig_kws.Batch.keywords);
   }
 
-let rpq ?backend ~rng ?(size = default_size) () =
-  let base = base_graph ?backend ~rng size in
+let rpq ~rng ?(size = default_size) () =
+  let base = base_graph ~rng size in
   let q = Q.rpq ~rng base ~size:3 in
   {
     name = "rpq";
@@ -51,8 +51,8 @@ let rpq ?backend ~rng ?(size = default_size) () =
     qspec = ("rpq", 0, [ Ig_nfa.Regex.to_string q ]);
   }
 
-let scc ?backend ~rng ?(size = default_size) () =
-  let base = base_graph ?backend ~rng size in
+let scc ~rng ?(size = default_size) () =
+  let base = base_graph ~rng size in
   {
     name = "scc";
     base;
@@ -70,8 +70,8 @@ let pattern ~rng g ~labels =
       let l i = "l" ^ string_of_int (i mod labels) in
       Ig_iso.Pattern.create ~labels:[ l 0; l 1 ] ~edges:[ (0, 1) ]
 
-let sim ?backend ~rng ?(size = default_size) () =
-  let base = base_graph ?backend ~rng size in
+let sim ~rng ?(size = default_size) () =
+  let base = base_graph ~rng size in
   let p = pattern ~rng base ~labels:size.labels in
   {
     name = "sim";
@@ -81,8 +81,8 @@ let sim ?backend ~rng ?(size = default_size) () =
     qspec = ("sim", 0, pattern_qargs p);
   }
 
-let iso ?backend ~rng ?(size = default_size) () =
-  let base = base_graph ?backend ~rng size in
+let iso ~rng ?(size = default_size) () =
+  let base = base_graph ~rng size in
   let p = pattern ~rng base ~labels:size.labels in
   {
     name = "iso";
@@ -95,9 +95,9 @@ let iso ?backend ~rng ?(size = default_size) () =
 let edge_of = function
   | Digraph.Insert (u, v) | Digraph.Delete (u, v) -> (u, v)
 
-let gadget ?(backend = `Hashtbl) ?(cycle = 4) () =
+let gadget ?(cycle = 4) () =
   let gd = Ig_theory.Gadget.make ~cycle in
-  let base = Digraph.convert ~backend gd.Ig_theory.Gadget.graph in
+  let base = gd.Ig_theory.Gadget.graph in
   let d1 = edge_of gd.Ig_theory.Gadget.delta1
   and d2 = edge_of gd.Ig_theory.Gadget.delta2 in
   (* Δ1 bridges the cycles, Δ2 reaches the sink; also keep the cycle edges
@@ -116,21 +116,21 @@ let gadget ?(backend = `Hashtbl) ?(cycle = 4) () =
     qspec = ("rpq", 0, [ Ig_nfa.Regex.to_string gd.Ig_theory.Gadget.query ]);
   }
 
-let all ?backend ~rng ?(size = default_size) () =
+let all ~rng ?(size = default_size) () =
   [
-    kws ?backend ~rng ~size ();
-    rpq ?backend ~rng ~size ();
-    scc ?backend ~rng ~size ();
-    sim ?backend ~rng ~size ();
-    iso ?backend ~rng ~size ();
-    gadget ?backend ();
+    kws ~rng ~size ();
+    rpq ~rng ~size ();
+    scc ~rng ~size ();
+    sim ~rng ~size ();
+    iso ~rng ~size ();
+    gadget ();
   ]
 
-let by_name ?backend ~rng ?(size = default_size) = function
-  | "kws" -> Some (kws ?backend ~rng ~size ())
-  | "rpq" -> Some (rpq ?backend ~rng ~size ())
-  | "scc" -> Some (scc ?backend ~rng ~size ())
-  | "sim" -> Some (sim ?backend ~rng ~size ())
-  | "iso" -> Some (iso ?backend ~rng ~size ())
-  | "gadget" -> Some (gadget ?backend ())
+let by_name ~rng ?(size = default_size) = function
+  | "kws" -> Some (kws ~rng ~size ())
+  | "rpq" -> Some (rpq ~rng ~size ())
+  | "scc" -> Some (scc ~rng ~size ())
+  | "sim" -> Some (sim ~rng ~size ())
+  | "iso" -> Some (iso ~rng ~size ())
+  | "gadget" -> Some (gadget ())
   | _ -> None

@@ -18,9 +18,8 @@
    so membership is: in [add] → present; in [del] → absent; else binary
    search the base row. Sorted iteration is a two-finger merge of the
    (sorted) base row with the add list, skipping tombstones — sorted by
-   construction, no per-call sort, unlike the Hashtbl backend's
-   fold-and-sort. Degrees are maintained eagerly in [out_deg]/[in_deg],
-   so they stay O(1) regardless of overlay size.
+   construction, no per-call sort. Degrees are maintained eagerly in
+   [out_deg]/[in_deg], so they stay O(1) regardless of overlay size.
 
    When the overlay exceeds [max 64 (n_edges/8)] live entries the graph
    recompacts: fresh base arrays are built in O(n + m) by replaying the
@@ -44,8 +43,7 @@ type t = {
   interner : Interner.t;
   labels : label Vec.t;
   by_label : node list Vec.t;
-      (* indexed by symbol; most-recent-first, matching the Hashtbl
-         backend's [v :: old] maintained index byte for byte *)
+      (* indexed by symbol; most-recent-first *)
   mutable base_n : int;
   mutable s_off : ba;
   mutable s_adj : ba;
@@ -104,7 +102,7 @@ let create ?(hint = 16) () =
   Vec.reserve g.in_deg hint 0;
   g
 
-let instrument g ~obs ~trace =
+let instrument ~obs ~trace g =
   g.obs <- obs;
   g.trace <- trace
 

@@ -1,25 +1,24 @@
-(** Flat CSR adjacency with a sorted delta overlay.
+(** Flat CSR adjacency with a sorted delta overlay — the graph store.
 
-    The cache-friendly {!Digraph} backend: successor and predecessor
-    adjacency as compressed-sparse-row slices of flat [Bigarray] int
-    arrays (off the OCaml heap — the GC never scans them), fronted by a
-    small per-node overlay of sorted add/tombstone lists that absorbs
-    edge insertions and deletions. Overlay invariants:
+    Successor and predecessor adjacency as compressed-sparse-row slices
+    of flat [Bigarray] int arrays (off the OCaml heap — the GC never
+    scans them), fronted by a small per-node overlay of sorted
+    add/tombstone lists that absorbs edge insertions and deletions.
+    Overlay invariants:
 
     - [add ∩ base = ∅] — an overlay-add is never also a base entry;
     - [del ⊆ base] — a tombstone always names a live base entry.
 
     Sorted iteration is a merge of the base row with the add list,
-    skipping tombstones — sorted by construction, with none of the
-    per-call fold-and-sort the Hashtbl backend pays. The overlay
-    recompacts into fresh base arrays ([O(n + m)]) when it exceeds
-    [max 64 (n_edges/8)] live entries, and on explicit {!compact}.
+    skipping tombstones — sorted by construction, with no per-call sort.
+    The overlay recompacts into fresh base arrays ([O(n + m)]) when it
+    exceeds [max 64 (n_edges/8)] live entries, and on explicit
+    {!compact}.
 
-    This module is not used directly by engines; they see it through the
-    {!Digraph} dispatch ([Digraph.create ~backend:`Csr]). The API below
-    mirrors the slice of {!Digraph} the dispatch needs, with the same
-    semantics — including [nodes_with_label]'s most-recent-first order
-    and [invalid_arg] on unknown nodes. *)
+    Engines do not use this module directly: {!Digraph} includes it and
+    adds the update vocabulary and whole-graph walks. [nodes_with_label]
+    lists the most recently added node first, and every accessor raises
+    [invalid_arg] on an unknown node. *)
 
 type node = int
 type label = Interner.symbol
@@ -71,7 +70,7 @@ val overlay_del_size : t -> int
 val base_nodes : t -> int
 (** Nodes covered by the frozen base arrays — how stale the base is. *)
 
-val instrument : t -> obs:Ig_obs.Obs.t -> trace:Ig_obs.Tracer.t -> unit
+val instrument : obs:Ig_obs.Obs.t -> trace:Ig_obs.Tracer.t -> t -> unit
 (** Attach instrumentation sinks: overlay add/del sizes become gauges,
     compactions record latency and bytes-copied histograms plus a
     [Compaction] trace event. Default is noop/noop (a single branch per

@@ -6,22 +6,17 @@
     edge insertions and deletions.
 
     Nodes are dense integer identifiers allocated by {!add_node}; labels are
-    interned strings (see {!Interner}). Both successor and predecessor
-    adjacency are maintained, with O(1) expected edge insertion, deletion and
-    membership. Nodes are never removed (the paper's update model is
-    edge-only; fresh nodes may arrive together with inserted edges).
+    interned strings (see {!Interner}). Nodes are never removed (the
+    paper's update model is edge-only; fresh nodes may arrive together
+    with inserted edges).
 
-    Two backends implement this interface behind {!create}'s [?backend]
-    selector; both present identical views through every accessor below
-    (adjacency, degrees, labels, membership — the cross-backend battery in
-    [test/test_backend.ml] asserts it byte for byte):
-
-    - [`Hashtbl] (the default): per-node hash tables; O(1) expected
-      updates; {!iter_succ_sorted} pays a fold-and-sort per call.
-    - [`Csr]: flat compressed-sparse-row Bigarrays plus a small sorted
-      delta overlay (see {!Csr}); sorted iteration is a merge, sorted by
-      construction, and the adjacency lives off the OCaml heap — the
-      choice for batch traversals over large graphs. *)
+    There is one representation: the flat compressed-sparse-row store of
+    {!Csr}, whose adjacency lives in off-heap Bigarrays frozen at the last
+    compaction, fronted by a small sorted delta overlay that absorbs edge
+    churn. Adjacency is always visited in ascending node order — a merge
+    of the base row with the overlay, sorted by construction — so every
+    traversal is deterministic across hash seeds. Membership is a binary
+    search of the base row plus the overlay; degrees are O(1). *)
 
 type node = int
 type label = Interner.symbol
@@ -30,47 +25,39 @@ type update =
   | Insert of node * node  (** [insert e] — add edge [(u, v)]. *)
   | Delete of node * node  (** [delete e] — remove edge [(u, v)]. *)
 
-type backend = [ `Hashtbl | `Csr ]
-
 type t
 
 (** {1 Construction} *)
 
-val create : ?hint:int -> ?backend:backend -> unit -> t
-(** An empty graph. [hint] pre-sizes internal tables for [hint] nodes (on
-    both backends: label/adjacency/degree vectors never reallocate below
-    [hint] nodes). [backend] defaults to [`Hashtbl]. *)
+val create : ?hint:int -> unit -> t
+(** An empty graph. [hint] pre-sizes the label, degree and overlay tables
+    for [hint] nodes; they never reallocate below [hint] nodes. *)
+
+type backend = [ `Csr ]
 
 val backend : t -> backend
+(** Always [`Csr]; kept so reports can record the store they ran on. *)
 
 val backend_name : backend -> string
-(** ["hashtbl"] / ["csr"] — the CLI's [--backend] vocabulary. *)
-
-val backend_of_string : string -> backend option
+(** ["csr"]. *)
 
 val copy : t -> t
-(** Deep copy (shares the interner). On the CSR backend this preserves
-    pending overlay deltas and shares only the frozen base arrays; the
-    copy is fully independent. *)
-
-val convert : backend:backend -> t -> t
-(** The same graph rebuilt on the given backend ([g] itself if it already
-    is); shares nothing with the original. Node ids, label names and the
-    {!nodes_with_label} order are preserved. *)
+(** Deep copy (shares the interner). Preserves pending overlay deltas and
+    shares only the frozen base arrays; the copy is fully independent. *)
 
 val compact : t -> unit
-(** [`Csr]: fold the delta overlay into fresh base arrays (semantically a
-    no-op; O(n + m)). [`Hashtbl]: nothing. *)
+(** Fold the delta overlay into fresh base arrays (semantically a no-op;
+    O(n + m)). *)
 
 val overlay_size : t -> int
-(** [`Csr]: live overlay entries pending compaction. [`Hashtbl]: 0. *)
+(** Live overlay entries pending compaction; 0 right after {!compact}. *)
 
 val instrument : obs:Ig_obs.Obs.t -> trace:Ig_obs.Tracer.t -> t -> unit
-(** Attach instrumentation sinks to the storage layer. On [`Csr] the
-    overlay add/del sizes become gauges and compactions record latency
-    and bytes-copied histograms plus a [Compaction] trace event; on
-    [`Hashtbl] this is a no-op. {!copy} resets the copy's sinks to noop
-    so scratch and oracle copies never pollute the engine's registry. *)
+(** Attach instrumentation sinks to the storage layer: the overlay
+    add/del sizes become gauges and compactions record latency and
+    bytes-copied histograms plus a [Compaction] trace event. {!copy}
+    resets the copy's sinks to noop so scratch and oracle copies never
+    pollute the engine's registry. *)
 
 val add_node : t -> string -> node
 (** Add a fresh node with the given label string. *)
@@ -81,7 +68,7 @@ val add_node_sym : t -> label -> node
 val add_edge : t -> node -> node -> bool
 (** [add_edge g u v] inserts edge [(u,v)]. Returns [false] if it was already
     present (the graph is a simple digraph; parallel edges collapse).
-    Self-loops are allowed. *)
+    Self-loops are allowed. Raises [Invalid_argument] on an unknown node. *)
 
 val remove_edge : t -> node -> node -> bool
 (** Returns [false] if the edge was absent. *)
@@ -90,6 +77,12 @@ val apply : t -> update -> bool
 (** Apply one unit update; [false] if it was a no-op. *)
 
 val apply_batch : t -> update list -> unit
+
+val check_batch : t -> update list -> unit
+(** Raises [Invalid_argument] unless every endpoint of every update is an
+    existing node. Touches nothing: engines call it before their first
+    graph or certificate write, so a malformed batch leaves them exactly
+    as they were. *)
 
 (** {1 Labels} *)
 
@@ -109,27 +102,15 @@ val in_degree : t -> node -> int
 
 val iter_nodes : (node -> unit) -> t -> unit
 
-val iter_succ : (node -> unit) -> t -> node -> unit
-(** Successors in unspecified order — hash-table order on [`Hashtbl]
-    (varies with the process hash seed), ascending on [`Csr] (a CSR row
-    has no cheaper unordered walk). Use only where the visit order
-    provably cannot reach certificates, trace events or user-visible
-    output; otherwise use {!iter_succ_sorted}. *)
-
-val iter_pred : (node -> unit) -> t -> node -> unit
-(** Predecessor counterpart of {!iter_succ}; same order caveat. *)
-
 val iter_succ_sorted : (node -> unit) -> t -> node -> unit
-(** Successors in ascending node order — deterministic across hash seeds.
-    Costs an O(d log d) fold-and-sort per call on [`Hashtbl]; on [`Csr]
-    it is an O(d) merge of the base row with the overlay, sorted by
-    construction. *)
+(** Successors in ascending node order: an O(d) merge of the base row
+    with the overlay. *)
 
 val iter_pred_sorted : (node -> unit) -> t -> node -> unit
 (** Predecessors in ascending node order; see {!iter_succ_sorted}. *)
 
 val iter_edges : (node -> node -> unit) -> t -> unit
-(** All edges in lexicographic [(u, v)] order (deterministic). *)
+(** All edges in lexicographic [(u, v)] order. *)
 
 val succ_list : t -> node -> node list
 (** Successors in ascending node order. *)
@@ -138,12 +119,13 @@ val pred_list : t -> node -> node list
 (** Predecessors in ascending node order. *)
 
 val edges : t -> (node * node) list
-(** All edges in lexicographic [(u, v)] order (deterministic). *)
+(** All edges in lexicographic [(u, v)] order. *)
 
 val fold_nodes : (node -> 'a -> 'a) -> t -> 'a -> 'a
 
 val nodes_with_label : t -> label -> node list
-(** All nodes carrying the given label (maintained index; O(result)). *)
+(** All nodes carrying the given label, most recently added first
+    (maintained index; O(result)). *)
 
 val pp : Format.formatter -> t -> unit
 (** Debug printer: node count, edge count, and the edge list for small

@@ -18,8 +18,8 @@ let save path g =
      raise e);
   close_out oc
 
-let parse_lines ?backend lines =
-  let g = Digraph.create ?backend () in
+let parse_lines lines =
+  let g = Digraph.create () in
   let ids = Hashtbl.create 64 in
   let lineno = ref 0 in
   let fail msg = failwith (Printf.sprintf "Io.read: line %d: %s" !lineno msg) in
@@ -47,22 +47,22 @@ let parse_lines ?backend lines =
             ignore (Digraph.add_edge g (node_of u) (node_of v))
         | _ -> fail "unrecognized record")
     lines;
-  (* A CSR graph built edge-by-edge carries a residual overlay; fold it in
-     so loads hand back a fully flat base. *)
+  (* A graph built edge-by-edge carries a residual overlay; fold it in so
+     loads hand back a fully flat base. *)
   Digraph.compact g;
   g
 
-let read ?backend ic =
+let read ic =
   let rec lines () =
     match In_channel.input_line ic with
     | None -> Seq.Nil
     | Some l -> Seq.Cons (l, lines)
   in
-  parse_lines ?backend lines
+  parse_lines lines
 
-let load ?backend path =
+let load path =
   let ic = (open_in [@lint.allow "D3"]) path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> read ?backend ic)
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> read ic)
 
-let of_string ?backend s =
-  parse_lines ?backend (List.to_seq (String.split_on_char '\n' s))
+let of_string s =
+  parse_lines (List.to_seq (String.split_on_char '\n' s))

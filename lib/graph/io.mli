@@ -6,19 +6,18 @@
     - [e <u> <v>] edge declaration (endpoints must be declared first)
 
     External ids may be arbitrary non-negative integers; they are remapped to
-    the dense internal ids on load. The readers build the graph on the
-    requested {!Digraph.backend} (default [`Hashtbl]) and compact it, so a
-    CSR load hands back flat base arrays with an empty overlay. *)
+    the dense internal ids on load. The readers compact the graph they
+    build, so a load hands back flat base arrays with an empty overlay. *)
 
 val write : Format.formatter -> Digraph.t -> unit
 
 val save : string -> Digraph.t -> unit
 (** Write to a file path. *)
 
-val read : ?backend:Digraph.backend -> in_channel -> Digraph.t
+val read : in_channel -> Digraph.t
 (** @raise Failure on malformed input, with a line number. *)
 
-val load : ?backend:Digraph.backend -> string -> Digraph.t
+val load : string -> Digraph.t
 
-val of_string : ?backend:Digraph.backend -> string -> Digraph.t
+val of_string : string -> Digraph.t
 (** Parse from an in-memory string (used by tests). *)

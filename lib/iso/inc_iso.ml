@@ -152,6 +152,7 @@ let delete_edge t u v =
 
 let apply_batch t updates =
   Obs.with_apply t.obs @@ fun () ->
+  Digraph.check_batch t.g updates;
   (* Deletions first (paper step (1)), then insertions. *)
   Obs.with_span t.obs "iso.process" (fun () ->
       Tracer.with_span t.trace "iso.process" (fun () ->

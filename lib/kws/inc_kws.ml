@@ -132,7 +132,7 @@ let process_keyword t i ~dels ~inss =
   List.iter
     (fun (v, ()) ->
       let best = ref max_int in
-      (Digraph.iter_succ [@lint.allow "D2"])
+      Digraph.iter_succ_sorted
         (fun w ->
           Obs.incr t.obs Obs.K.edges_relaxed;
           if not (Hashtbl.mem affected w) then
@@ -181,8 +181,7 @@ let process_keyword t i ~dels ~inss =
         if not stale then begin
           (* The witness successor on a shortest path, smallest id. *)
           let next = ref (-1) in
-          (* Order-free: keeps the minimum over all successors. *)
-          (Digraph.iter_succ [@lint.allow "D2"])
+          Digraph.iter_succ_sorted
             (fun w ->
               Obs.incr t.obs Obs.K.edges_relaxed;
               match Hashtbl.find_opt kd w with
@@ -260,6 +259,7 @@ let split_effective eff =
 
 let apply_batch t updates =
   Obs.with_apply t.obs @@ fun () ->
+  Digraph.check_batch t.g updates;
   if t.grouped then begin
     let dels, inss = split_effective (apply_effective t updates) in
     process_all t ~dels ~inss
@@ -366,8 +366,7 @@ let set_bound t b' =
         | Some (v, d) ->
             if not (Hashtbl.mem kd v) then begin
               let next = ref (-1) in
-              (* Order-free: keeps the minimum over all successors. *)
-              (Digraph.iter_succ [@lint.allow "D2"])
+              Digraph.iter_succ_sorted
                 (fun w ->
                   match Hashtbl.find_opt kd w with
                   | Some e when e.Batch.dist = d - 1 && (!next = -1 || w < !next)

@@ -78,6 +78,9 @@ val add_node : t -> string -> node
 val insert_edge : t -> node -> node -> unit
 val delete_edge : t -> node -> node -> unit
 val apply_batch : t -> Ig_graph.Digraph.update list -> delta
+(** Rejects a batch naming an unknown node with [Invalid_argument]
+    before any write (see {!Ig_graph.Digraph.check_batch}). *)
+
 val flush_delta : t -> delta
 
 val match_roots : t -> node list

@@ -15,8 +15,7 @@
        Direct writes to adjacency state (Bigarray row pokes, container
        mutators reaching succ/pred/by_label/adj projections or values
        built by Digraph.*/Csr.* calls) outside lib/graph would bypass
-       the CSR overlay invariants (add∩base=∅, del⊆base) and the
-       backend seam PR 7 established.
+       the CSR overlay invariants (add∩base=∅, del⊆base).
 
    D8  every span region is exception-safe: a bare [*.span_begin] whose
        enclosing binding does not also guard a [span_end] inside
@@ -27,7 +26,7 @@
    The rules are scoped by path: D6/D8 apply to lib/ outside lib/obs
    (whose registry and combinators are the sanctioned implementations),
    D7 to lib/ outside lib/graph (where direct representation writes are
-   the backend's own business). Summaries for other paths (fixtures,
+   the graph store's own business). Summaries for other paths (fixtures,
    bin/) produce no findings, so the extraction API can be exercised on
    synthetic inputs. *)
 
@@ -126,7 +125,7 @@ let analyze summaries =
                     would make it a shared-shard hazard"
                    g.Summary.g_name g.Summary.g_kind))
           s.Summary.globals;
-      (* D7: graph mutation outside the backend seam. *)
+      (* D7: graph mutation outside the graph store. *)
       if in_lib path && not (in_graph path) then
         List.iter
           (fun (m : Summary.graph_mutation) ->
@@ -134,7 +133,7 @@ let analyze summaries =
             else
               emit "D7" path m.Summary.m_line m.Summary.m_col Diag.Error
                 (Printf.sprintf
-                   "direct %s on %s bypasses the Digraph/Csr backend seam; \
+                   "direct %s on %s bypasses the Digraph/Csr graph store; \
                     graph mutation must flow through the lib/graph entry \
                     points (or annotate a sanctioned site with [@lint.allow \
                     \"D7\"])"

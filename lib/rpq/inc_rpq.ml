@@ -312,6 +312,7 @@ let split_effective eff =
 
 let apply_batch t updates =
   Obs.with_apply t.obs @@ fun () ->
+  Digraph.check_batch (graph t) updates;
   if t.grouped then begin
     let dels, inss = split_effective (apply_effective t updates) in
     process_all t ~dels ~inss

@@ -210,13 +210,12 @@ let rewire_split t c parts =
     (fun p ->
       iter_members
         (fun m ->
-          (* Order-free: counter accumulation commutes. *)
-          (Digraph.iter_succ [@lint.allow "D2"])
+          Digraph.iter_succ_sorted
             (fun w ->
               let d = comp_of t w in
               if d <> p then cadd t p d 1)
             t.g m;
-          (Digraph.iter_pred [@lint.allow "D2"])
+          Digraph.iter_pred_sorted
             (fun a ->
               let ca = comp_of t a in
               (* Part-to-part edges were counted from the successor side. *)
@@ -513,7 +512,39 @@ let apply_unit t = function
   | Digraph.Insert (u, v) -> insert_edge t u v
   | Digraph.Delete (u, v) -> delete_edge t u v
 
+(* The grouped phases below reorder a batch by class, which is only sound
+   when every edge appears once: [-e; +e] on a live edge would otherwise
+   end with [e] deleted. Reduce the batch to its net effect — per edge,
+   the last op, kept only if it flips the edge's pre-batch membership —
+   in first-occurrence order. An edge named once passes through as is:
+   the phases skip its op if it is a no-op. *)
+let net_effect g updates =
+  let n = Digraph.n_nodes g in
+  let key (Digraph.Insert (u, v) | Digraph.Delete (u, v)) = (u * n) + v in
+  (* edge key -> (its last op, whether the batch names it again) *)
+  let last = Hashtbl.create (List.length updates) in
+  List.iter
+    (fun up ->
+      let k = key up in
+      Hashtbl.replace last k (up, Hashtbl.mem last k))
+    updates;
+  List.filter_map
+    (fun up ->
+      let k = key up in
+      match Hashtbl.find_opt last k with
+      | None -> None (* settled at the edge's first occurrence *)
+      | Some (final, repeated) -> (
+          Hashtbl.remove last k;
+          match final with
+          | _ when not repeated -> Some final
+          | Digraph.Insert (u, v) when not (Digraph.mem_edge g u v) ->
+              Some final
+          | Digraph.Delete (u, v) when Digraph.mem_edge g u v -> Some final
+          | _ -> None))
+    updates
+
 let apply_batch_grouped t updates =
+  let updates = net_effect t.g updates in
   (* Classify against the components at batch start. *)
   let is_intra u v = comp_of t u = comp_of t v in
   let intra_ins = ref []
@@ -588,6 +619,7 @@ let apply_batch_grouped t updates =
 
 let apply_batch t updates =
   Obs.with_apply t.obs @@ fun () ->
+  Digraph.check_batch t.g updates;
   Obs.with_span t.obs "scc.process" (fun () ->
       Tracer.with_span t.trace "scc.process" (fun () ->
           if t.cfg.group_batch then apply_batch_grouped t updates

@@ -120,7 +120,9 @@ val insert_edge : t -> node -> node -> unit
 val delete_edge : t -> node -> node -> unit
 
 val apply_batch : t -> Ig_graph.Digraph.update list -> delta
-(** Apply a batch and return the output changes since the last flush. *)
+(** Apply a batch and return the output changes since the last flush.
+    Rejects a batch naming an unknown node with [Invalid_argument] before
+    any write (see {!Ig_graph.Digraph.check_batch}). *)
 
 val flush_delta : t -> delta
 (** Collect ΔO accumulated by unit updates since the last flush. *)

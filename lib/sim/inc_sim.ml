@@ -190,8 +190,7 @@ let insert_edge t a b =
            must not be bumped twice. *)
         List.iter
           (fun (e, tp) ->
-            (* Order-free: counter bumps commute. *)
-            (Digraph.iter_pred [@lint.allow "D2"])
+            Digraph.iter_pred_sorted
               (fun pnode ->
                 if
                   Hashtbl.mem t.r.(tp) pnode
@@ -208,6 +207,7 @@ let insert_edge t a b =
 
 let apply_batch t updates =
   Obs.with_apply t.obs @@ fun () ->
+  Digraph.check_batch t.g updates;
   Obs.with_span t.obs "sim.process" (fun () ->
       Tracer.with_span t.trace "sim.process" (fun () ->
           List.iter

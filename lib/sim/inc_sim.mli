@@ -56,6 +56,9 @@ val trace : t -> Ig_obs.Tracer.t
 val insert_edge : t -> node -> node -> unit
 val delete_edge : t -> node -> node -> unit
 val apply_batch : t -> Ig_graph.Digraph.update list -> delta
+(** Rejects a batch naming an unknown node with [Invalid_argument]
+    before any write (see {!Ig_graph.Digraph.check_batch}). *)
+
 val flush_delta : t -> delta
 
 val relation : t -> Sim.relation

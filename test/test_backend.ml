@@ -1,15 +1,18 @@
-(* Cross-backend differential battery: the Hashtbl and CSR digraph
-   backends driven through identical op sequences — distilled from the
-   unit tests in test_graph.ml plus seeded random streams — with every
-   observable view (sorted adjacency, degrees, labels, edge membership,
-   operation return values) compared byte for byte after every op,
-   including immediately around forced [Digraph.compact] points.
+(* Differential battery for the graph store: the CSR + delta-overlay
+   [Digraph] and a small pure reference model (a label array plus an
+   ordered edge set) driven through identical op sequences — distilled
+   from the unit tests in test_graph.ml plus seeded random streams — with
+   every observable view (sorted adjacency, degrees, labels, edge
+   membership, operation return values) compared byte for byte after
+   every op, including immediately around forced [Digraph.compact]
+   points.
 
    The qcheck properties pin the overlay laws: compact is a semantic
    no-op and idempotent; arbitrary interleavings of insert / delete /
    absent-delete / duplicate-insert / compact agree with a batch-built
-   graph; and copy of an un-compacted CSR graph is deep — pending deltas
-   are preserved and the copy is independent of the original. *)
+   graph and with the model; and copy of an un-compacted graph is deep —
+   pending deltas are preserved and the copy is independent of the
+   original. *)
 
 open Ig_graph
 
@@ -45,73 +48,156 @@ let apply_op g op =
       Digraph.compact g;
       "compacted"
 
+(* ---- the reference model ------------------------------------------------- *)
+
+module Edges = Set.Make (struct
+  type t = int * int
+
+  let compare (a, b) (c, d) =
+    match Int.compare a c with 0 -> Int.compare b d | o -> o
+end)
+
+(* Node [v] carries [labels.(v)]; [edges] is the edge relation, ordered
+   lexicographically, so filtering it yields sorted adjacency. *)
+type model = { labels : string array; edges : Edges.t }
+
+let empty_model = { labels = [||]; edges = Edges.empty }
+
+let model_op m op =
+  let n = Array.length m.labels in
+  match op with
+  | Add_node l ->
+      ( { m with labels = Array.append m.labels [| l |] },
+        Printf.sprintf "node=%d" n )
+  | (Ins _ | Del _) when n = 0 -> (m, "skip")
+  | Ins (u, v) ->
+      let e = (u mod n, v mod n) in
+      ( { m with edges = Edges.add e m.edges },
+        Printf.sprintf "ins=%b" (not (Edges.mem e m.edges)) )
+  | Del (u, v) ->
+      let e = (u mod n, v mod n) in
+      ( { m with edges = Edges.remove e m.edges },
+        Printf.sprintf "del=%b" (Edges.mem e m.edges) )
+  | Compact -> (m, "compacted")
+
 (* ---- the observable view --------------------------------------------------- *)
 
-(* Everything a client can see, rendered canonically: node/edge counts,
-   per-node label, degrees and sorted adjacency in both directions, the
-   label index (most-recent-first, like Hashtbl's), and — via an explicit
-   [mem_edge] sweep — the membership relation, which on CSR exercises the
-   base binary search plus add/tombstone overlay paths independently of
-   the merge iterators. *)
-let view g =
+(* Everything a client can see: node/edge counts, per-node label, degrees
+   and sorted adjacency in both directions, the label index
+   (most-recent-first), and — via an explicit membership sweep — the edge
+   relation, which on the graph exercises the base binary search plus
+   add/tombstone overlay paths independently of the merge iterators. *)
+type obs = {
+  n : int;
+  m : int;
+  label : int -> string;
+  out_degree : int -> int;
+  in_degree : int -> int;
+  succ : int -> int list;
+  pred : int -> int list;
+  with_label : int -> int list;  (** nodes sharing node [v]'s label *)
+  mem : int -> int -> bool;
+}
+
+let graph_obs g =
+  let collect iter v =
+    let acc = ref [] in
+    iter (fun w -> acc := w :: !acc) g v;
+    List.rev !acc
+  in
+  {
+    n = Digraph.n_nodes g;
+    m = Digraph.n_edges g;
+    label = Digraph.label_name g;
+    out_degree = Digraph.out_degree g;
+    in_degree = Digraph.in_degree g;
+    succ = collect Digraph.iter_succ_sorted;
+    pred = collect Digraph.iter_pred_sorted;
+    with_label = (fun v -> Digraph.nodes_with_label g (Digraph.label g v));
+    mem = Digraph.mem_edge g;
+  }
+
+let model_obs md =
+  let adj keep proj =
+    Edges.fold (fun e acc -> if keep e then proj e :: acc else acc) md.edges []
+    |> List.rev
+  in
+  let succ v = adj (fun (u, _) -> u = v) snd
+  and pred v = adj (fun (_, w) -> w = v) fst in
+  {
+    n = Array.length md.labels;
+    m = Edges.cardinal md.edges;
+    label = (fun v -> md.labels.(v));
+    out_degree = (fun v -> List.length (succ v));
+    in_degree = (fun v -> List.length (pred v));
+    succ;
+    pred;
+    with_label =
+      (fun v ->
+        List.rev
+          (List.filter
+             (fun w -> String.equal md.labels.(w) md.labels.(v))
+             (List.init (Array.length md.labels) Fun.id)));
+    mem = (fun u v -> Edges.mem (u, v) md.edges);
+  }
+
+(* Rendered canonically, so a divergence prints as a readable diff. *)
+let render o =
   let buf = Buffer.create 512 in
-  let n = Digraph.n_nodes g in
-  Buffer.add_string buf (Printf.sprintf "n=%d m=%d\n" n (Digraph.n_edges g));
-  for v = 0 to n - 1 do
-    let succs = ref [] and preds = ref [] in
-    Digraph.iter_succ_sorted (fun w -> succs := w :: !succs) g v;
-    Digraph.iter_pred_sorted (fun u -> preds := u :: !preds) g v;
-    let show l = String.concat "," (List.map string_of_int (List.rev l)) in
+  let show l = String.concat "," (List.map string_of_int l) in
+  Buffer.add_string buf (Printf.sprintf "n=%d m=%d\n" o.n o.m);
+  for v = 0 to o.n - 1 do
     Buffer.add_string buf
-      (Printf.sprintf "%d:%s out=%d in=%d s=[%s] p=[%s]\n" v
-         (Digraph.label_name g v) (Digraph.out_degree g v)
-         (Digraph.in_degree g v) (show !succs) (show !preds))
+      (Printf.sprintf "%d:%s out=%d in=%d s=[%s] p=[%s]\n" v (o.label v)
+         (o.out_degree v) (o.in_degree v) (show (o.succ v)) (show (o.pred v)))
   done;
   let seen = Hashtbl.create 8 in
-  for v = 0 to n - 1 do
-    let l = Digraph.label g v in
+  for v = 0 to o.n - 1 do
+    let l = o.label v in
     if not (Hashtbl.mem seen l) then begin
       Hashtbl.replace seen l ();
       Buffer.add_string buf
-        (Printf.sprintf "L:%s=[%s]\n" (Digraph.label_name g v)
-           (String.concat ","
-              (List.map string_of_int (Digraph.nodes_with_label g l))))
+        (Printf.sprintf "L:%s=[%s]\n" l (show (o.with_label v)))
     end
   done;
-  if n <= 48 then begin
+  if o.n <= 48 then begin
     Buffer.add_string buf "mem=";
-    for u = 0 to n - 1 do
-      for v = 0 to n - 1 do
-        if Digraph.mem_edge g u v then
-          Buffer.add_string buf (Printf.sprintf "%d-%d;" u v)
+    for u = 0 to o.n - 1 do
+      for v = 0 to o.n - 1 do
+        if o.mem u v then Buffer.add_string buf (Printf.sprintf "%d-%d;" u v)
       done
     done;
     Buffer.add_char buf '\n'
   end;
   Buffer.contents buf
 
+let view g = render (graph_obs g)
+let model_view md = render (model_obs md)
+
 (* ---- the differential runner ----------------------------------------------- *)
 
-(* Drive both backends through [ops]; with [compact_every = k > 0] the CSR
-   side is additionally compacted every k ops, so views are compared both
-   right after and right before forced compaction points. *)
+(* Drive the graph and the model through [ops]; with [compact_every = k >
+   0] the graph is additionally compacted every k ops, so views are
+   compared both right after and right before forced compaction points.
+   Returns the graph. *)
 let run_diff ?(compact_every = 0) ops =
-  let gh = Digraph.create ~backend:`Hashtbl () in
-  let gc = Digraph.create ~backend:`Csr () in
+  let g = Digraph.create () and md = ref empty_model in
   List.iteri
     (fun i op ->
-      let rh = apply_op gh op and rc = apply_op gc op in
-      if rh <> rc then
-        Alcotest.failf "op %d (%s): results diverge: hashtbl %s, csr %s" i
-          (pp_op op) rh rc;
+      let rg = apply_op g op in
+      let md', rm = model_op !md op in
+      md := md';
+      if rg <> rm then
+        Alcotest.failf "op %d (%s): results diverge: model %s, graph %s" i
+          (pp_op op) rm rg;
       if compact_every > 0 && (i + 1) mod compact_every = 0 then
-        Digraph.compact gc;
-      let vh = view gh and vc = view gc in
-      if vh <> vc then
-        Alcotest.failf "op %d (%s): views diverge\n--- hashtbl\n%s--- csr\n%s"
-          i (pp_op op) vh vc)
+        Digraph.compact g;
+      let vm = model_view md' and vg = view g in
+      if vm <> vg then
+        Alcotest.failf "op %d (%s): views diverge\n--- model\n%s--- graph\n%s"
+          i (pp_op op) vm vg)
     ops;
-  (gh, gc)
+  g
 
 (* ---- distilled unit sequences ---------------------------------------------- *)
 
@@ -192,12 +278,12 @@ let random_cases =
 
 (* ---- copy / hint regressions ------------------------------------------------ *)
 
-(* The latent inconsistency fixed in this change: copy of a CSR graph
-   with a non-empty overlay must preserve the pending deltas, and the
-   copy must be fully independent of the original (both directions). *)
+(* Copy of a graph with a non-empty overlay must preserve the pending
+   deltas, and the copy must be fully independent of the original (both
+   directions). *)
 let test_copy_preserves_overlay () =
   let ops = Add_node "a" :: random_ops ~seed:11 ~steps:300 in
-  let _, gc = run_diff ops in
+  let gc = run_diff ops in
   (* Grow a fresh overlay on top of whatever state the stream left. *)
   let n = Digraph.n_nodes gc in
   for i = 0 to 9 do
@@ -221,35 +307,22 @@ let test_copy_preserves_overlay () =
   check Alcotest.string "original independent of copy" vg (view gc)
 
 let test_hint_presizes () =
-  (* ~hint pre-sizes internal storage on both backends without changing
-     any observable state; over- and under-shooting must both be safe. *)
+  (* ~hint pre-sizes internal storage without changing any observable
+     state; over- and under-shooting must both be safe. *)
   List.iter
-    (fun backend ->
-      List.iter
-        (fun hint ->
-          let g = Digraph.create ~hint ~backend () in
-          check Alcotest.int "empty" 0 (Digraph.n_nodes g);
-          for _ = 1 to 40 do
-            ignore (Digraph.add_node g "x")
-          done;
-          for i = 0 to 38 do
-            ignore (Digraph.add_edge g i (i + 1))
-          done;
-          check Alcotest.int "nodes" 40 (Digraph.n_nodes g);
-          check Alcotest.int "edges" 39 (Digraph.n_edges g);
-          check Alcotest.bool "member" true (Digraph.mem_edge g 0 1))
-        [ 0; 1; 8; 100 ])
-    [ `Hashtbl; `Csr ]
-
-let test_convert_roundtrip () =
-  let ops = Add_node "a" :: random_ops ~seed:21 ~steps:250 in
-  let gh, gc = run_diff ops in
-  let hc = Digraph.convert ~backend:`Csr gh in
-  let ch = Digraph.convert ~backend:`Hashtbl gc in
-  check Alcotest.string "hashtbl->csr" (view gh) (view hc);
-  check Alcotest.string "csr->hashtbl" (view gc) (view ch);
-  check Alcotest.bool "same-backend convert is identity" true
-    (Digraph.convert ~backend:`Hashtbl gh == gh)
+    (fun hint ->
+      let g = Digraph.create ~hint () in
+      check Alcotest.int "empty" 0 (Digraph.n_nodes g);
+      for _ = 1 to 40 do
+        ignore (Digraph.add_node g "x")
+      done;
+      for i = 0 to 38 do
+        ignore (Digraph.add_edge g i (i + 1))
+      done;
+      check Alcotest.int "nodes" 40 (Digraph.n_nodes g);
+      check Alcotest.int "edges" 39 (Digraph.n_edges g);
+      check Alcotest.bool "member" true (Digraph.mem_edge g 0 1))
+    [ 0; 1; 8; 100 ]
 
 (* ---- qcheck properties ------------------------------------------------------ *)
 
@@ -269,15 +342,18 @@ let arb_ops =
     QCheck.Gen.(
       map (fun ops -> Add_node "a" :: ops) (list_size (int_bound 150) gen_op))
 
-let csr_of ops =
-  let g = Digraph.create ~backend:`Csr () in
+let graph_of ops =
+  let g = Digraph.create () in
   List.iter (fun op -> ignore (apply_op g op)) ops;
   g
 
+let model_of ops =
+  List.fold_left (fun md op -> fst (model_op md op)) empty_model ops
+
 (* Build a semantically equal graph from scratch in one pass: nodes in id
    order, surviving edges in sorted order, one final compact. *)
-let batch_rebuild ~backend g =
-  let b = Digraph.create ~hint:(Digraph.n_nodes g) ~backend () in
+let batch_rebuild g =
+  let b = Digraph.create ~hint:(Digraph.n_nodes g) () in
   for v = 0 to Digraph.n_nodes g - 1 do
     ignore (Digraph.add_node b (Digraph.label_name g v))
   done;
@@ -288,7 +364,7 @@ let batch_rebuild ~backend g =
 let prop_compact_noop =
   QCheck.Test.make ~count:150 ~name:"compact is a semantic no-op, idempotent"
     arb_ops (fun ops ->
-      let g = csr_of ops in
+      let g = graph_of ops in
       let v0 = view g in
       Digraph.compact g;
       let v1 = view g in
@@ -300,15 +376,14 @@ let prop_interleavings_agree =
   QCheck.Test.make ~count:150
     ~name:"arbitrary op interleavings agree with a batch-built graph"
     arb_ops (fun ops ->
-      let g = csr_of ops in
-      view g = view (batch_rebuild ~backend:`Csr g)
-      && view g = view (batch_rebuild ~backend:`Hashtbl g))
+      let g = graph_of ops in
+      view g = view (batch_rebuild g) && view g = model_view (model_of ops))
 
 let prop_copy_deep =
   QCheck.Test.make ~count:150
     ~name:"copy of an un-compacted csr graph is deep and independent"
     arb_ops (fun ops ->
-      let g = csr_of ops in
+      let g = graph_of ops in
       let v0 = view g in
       let c = Digraph.copy g in
       (* Diverge both sides, then check neither saw the other's writes. *)
@@ -323,7 +398,7 @@ let prop_copy_deep =
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
-  Alcotest.run "ig_backend"
+  Alcotest.run "ig_store"
     [
       ("distilled sequences", distilled_cases);
       ("random streams", random_cases);
@@ -332,7 +407,6 @@ let () =
           Alcotest.test_case "copy preserves pending deltas" `Quick
             test_copy_preserves_overlay;
           Alcotest.test_case "hint pre-sizes safely" `Quick test_hint_presizes;
-          Alcotest.test_case "convert roundtrip" `Quick test_convert_roundtrip;
         ] );
       ( "overlay laws",
         qsuite [ prop_compact_noop; prop_interleavings_agree; prop_copy_deep ]

@@ -29,13 +29,13 @@ let steps =
 
 (* ---- differential fuzz, one case per algorithm -------------------------- *)
 
-let scenario_case ~backend (name, seed) =
+let scenario_case (name, seed) =
   Alcotest.test_case
     (Printf.sprintf "%s: %d steps vs batch oracle" name steps)
     `Quick
     (fun () ->
       let rng = Random.State.make [| 0x90; seed |] in
-      match Sc.by_name ~backend ~rng name with
+      match Sc.by_name ~rng name with
       | None -> Alcotest.failf "unknown scenario %s" name
       | Some s -> (
           match
@@ -57,10 +57,12 @@ let scenario_seeds =
     ("gadget", 106);
   ]
 
-(* Every scenario runs on both graph backends: the same engines over the
-   CSR + delta-overlay core must agree with the batch oracles too. *)
-let scenario_cases = List.map (scenario_case ~backend:`Hashtbl) scenario_seeds
-let scenario_cases_csr = List.map (scenario_case ~backend:`Csr) scenario_seeds
+(* The "csr" suites (named after the graph store) replay every scenario
+   from a second seed family, doubling the streams each run covers. *)
+let reseed = List.map (fun (name, seed) -> (name, seed + 1000))
+
+let scenario_cases = List.map scenario_case scenario_seeds
+let scenario_cases_csr = List.map scenario_case (reseed scenario_seeds)
 
 (* ---- durable fuzz: journaled do/undo/crash-recover interleavings -------- *)
 
@@ -72,21 +74,18 @@ let scenario_cases_csr = List.map (scenario_case ~backend:`Csr) scenario_seeds
    to the cheaper differential cases above. *)
 let durable_steps = 200
 
-let durable_case ~backend (name, seed) =
+let durable_case (name, seed) =
   Alcotest.test_case
     (Printf.sprintf "%s: %d journaled do/undo/crash steps" name durable_steps)
     `Quick
     (fun () ->
       let rng = Random.State.make [| 0xd0; seed |] in
-      match Sc.by_name ~backend ~rng name with
+      match Sc.by_name ~rng name with
       | None -> Alcotest.failf "unknown scenario %s" name
       | Some s -> (
           match
             Ig_check.Durable.run ~scenario:s
-              ~dir:
-                (Printf.sprintf "durable_%s_%s"
-                   (Digraph.backend_name backend)
-                   name)
+              ~dir:(Printf.sprintf "durable_%s_%d" name seed)
               ~steps:durable_steps ~seed ()
           with
           | Ok n -> check Alcotest.int "steps completed" durable_steps n
@@ -95,8 +94,90 @@ let durable_case ~backend (name, seed) =
 let durable_seeds =
   [ ("kws", 201); ("rpq", 202); ("scc", 203); ("sim", 204); ("iso", 205) ]
 
-let durable_cases = List.map (durable_case ~backend:`Hashtbl) durable_seeds
-let durable_cases_csr = List.map (durable_case ~backend:`Csr) durable_seeds
+let durable_cases = List.map durable_case durable_seeds
+let durable_cases_csr = List.map durable_case (reseed durable_seeds)
+
+(* ---- malformed batches --------------------------------------------------- *)
+
+(* A batch naming a node that does not exist must be rejected before any
+   write: the engine raises [Invalid_argument] and its graph, answer and
+   certificates stay exactly at their pre-batch state. The valid ops
+   ahead of the bad one are effective (a fresh edge and a live-edge
+   delete), so a late rejection would leave a visible trace. *)
+type engine = {
+  answer : unit -> string;
+  apply_batch : Digraph.update list -> unit;
+  invariants : unit -> unit;
+}
+
+let malformed_engines =
+  let pattern = Ig_iso.Pattern.create ~labels:[ "a"; "b" ] ~edges:[ (0, 1) ] in
+  [
+    ( "kws",
+      fun g ->
+        let module I = Ig_kws.Inc_kws in
+        let t = I.init g { Ig_kws.Batch.keywords = [ "b"; "c" ]; bound = 2 } in
+        {
+          answer = (fun () -> A.canon_nodes (I.match_roots t));
+          apply_batch = (fun us -> ignore (I.apply_batch t us));
+          invariants = (fun () -> I.check_invariants t);
+        } );
+    ( "rpq",
+      fun g ->
+        let module I = Ig_rpq.Inc_rpq in
+        let t = I.create g (Ig_nfa.Regex.parse_exn "a . b* . c") in
+        {
+          answer = (fun () -> A.canon_pairs (I.matches t));
+          apply_batch = (fun us -> ignore (I.apply_batch t us));
+          invariants = (fun () -> I.check_invariants t);
+        } );
+    ( "scc",
+      fun g ->
+        let module I = Ig_scc.Inc_scc in
+        let t = I.init g in
+        {
+          answer = (fun () -> A.canon_comps (I.components t));
+          apply_batch = (fun us -> ignore (I.apply_batch t us));
+          invariants = (fun () -> I.check_invariants t);
+        } );
+    ( "sim",
+      fun g ->
+        let module I = Ig_sim.Inc_sim in
+        let t = I.init g pattern in
+        {
+          answer = (fun () -> A.canon_pairs (Ig_sim.Sim.pairs (I.relation t)));
+          apply_batch = (fun us -> ignore (I.apply_batch t us));
+          invariants = (fun () -> I.check_invariants t);
+        } );
+    ( "iso",
+      fun g ->
+        let module I = Ig_iso.Inc_iso in
+        let t = I.init g pattern in
+        {
+          answer = (fun () -> A.canon_mappings pattern (I.matches t));
+          apply_batch = (fun us -> ignore (I.apply_batch t us));
+          invariants = (fun () -> I.check_invariants t);
+        } );
+  ]
+
+let malformed_case (name, make) =
+  Alcotest.test_case name `Quick (fun () ->
+      let g = Digraph.create () in
+      List.iter (fun l -> ignore (Digraph.add_node g l)) [ "a"; "b"; "c" ];
+      ignore (Digraph.add_edge g 0 1);
+      ignore (Digraph.add_edge g 1 2);
+      let e = make g in
+      let edges0 = Digraph.edges g and answer0 = e.answer () in
+      (match
+         e.apply_batch Digraph.[ Insert (1, 0); Delete (0, 1); Insert (2, 999) ]
+       with
+      | () -> Alcotest.fail "malformed batch accepted"
+      | exception Invalid_argument _ -> ());
+      check
+        Alcotest.(list (pair int int))
+        "graph untouched" edges0 (Digraph.edges g);
+      check Alcotest.string "answer untouched" answer0 (e.answer ());
+      e.invariants ())
 
 (* ---- stream driver ------------------------------------------------------ *)
 
@@ -277,6 +358,7 @@ let () =
       ("differential fuzz csr", scenario_cases_csr);
       ("durable fuzz", durable_cases);
       ("durable fuzz csr", durable_cases_csr);
+      ("malformed batch", List.map malformed_case malformed_engines);
       ( "stream driver",
         [
           Alcotest.test_case "deterministic" `Quick test_stream_deterministic;

@@ -51,8 +51,6 @@ let test_d2_iteration () =
     (rules (lint ~path:"lib/theory/fixture.ml" fold_src));
   check (Alcotest.list Alcotest.string) "Hashtbl.iter flagged" [ "D2" ]
     (rules (lint "let f tbl = Hashtbl.iter (fun _ _ -> ()) tbl"));
-  check (Alcotest.list Alcotest.string) "Digraph.iter_succ flagged" [ "D2" ]
-    (rules (lint "let f g v = Digraph.iter_succ (fun _ -> ()) g v"));
   check (Alcotest.list Alcotest.string) "sorted variant passes" []
     (rules (lint "let f g v = Digraph.iter_succ_sorted (fun _ -> ()) g v"));
   check (Alcotest.list Alcotest.string) "sorted_bindings passes" []
@@ -490,7 +488,7 @@ let test_d7_fixtures () =
   check_fixture "d7_adjacency.ml" ([ "D7" ], 0);
   check_fixture "d7_graph_local.ml" ([ "D7" ], 0);
   check_fixture "d7_clean.ml" ([], 0);
-  (* Inside lib/graph the same writes are the backend's own business. *)
+  (* Inside lib/graph the same writes are the graph store's own business. *)
   check_fixture ~dir:"lib/graph/" "d7_adjacency.ml" ([], 0);
   (* An annotated site is suppressed, and counted. *)
   let s =

@@ -369,6 +369,68 @@ let test_inc_fast_path_disabled_in_dyn () =
   check Alcotest.bool "inc uses the fast path" true (fast I.inc_config >= 1);
   check Alcotest.int "dyn never does" 0 (fast I.dyn_config)
 
+(* ---- batches touching one edge twice ------------------------------------ *)
+
+(* The grouped batch path applies intra-component inserts before deletes;
+   a batch that deletes and re-inserts a live edge must still end with the
+   edge present. *)
+let test_batch_delete_reinsert () =
+  let t =
+    engine 6 [ (0, 1); (0, 3); (2, 3); (2, 4); (3, 2); (3, 4); (4, 5) ]
+  in
+  ignore
+    (I.apply_batch t
+       [ Digraph.Delete (3, 2); Digraph.Insert (1, 0); Digraph.Insert (3, 2) ]);
+  check Alcotest.bool "3->2 survives" true (Digraph.mem_edge (I.graph t) 3 2);
+  assert_sound "delete then re-insert" t
+
+(* Seeded small cases biased toward batches that name the same edge more
+   than once, with either sign on either occurrence. *)
+let test_batch_same_edge_random () =
+  let rng = Random.State.make [| 0x5cc |] in
+  let pp_up = function
+    | Digraph.Insert (u, v) -> Printf.sprintf "+%d-%d" u v
+    | Digraph.Delete (u, v) -> Printf.sprintf "-%d-%d" u v
+  in
+  for case = 1 to 3000 do
+    let edge () = (Random.State.int rng 6, Random.State.int rng 6) in
+    let edges = List.init 8 (fun _ -> edge ()) in
+    let touched = ref [] in
+    let updates =
+      List.init
+        (1 + Random.State.int rng 5)
+        (fun _ ->
+          let u, v =
+            match (Random.State.int rng 3, !touched) with
+            | 0, (_ :: _ as seen) ->
+                List.nth seen (Random.State.int rng (List.length seen))
+            | 1, _ -> List.nth edges (Random.State.int rng 8)
+            | _ -> edge ()
+          in
+          touched := (u, v) :: !touched;
+          if Random.State.bool rng then Digraph.Insert (u, v)
+          else Digraph.Delete (u, v))
+    in
+    let t = engine 6 edges in
+    ignore (I.apply_batch t updates);
+    (* The reference applies the batch in order, one op at a time. *)
+    let expected = graph_of_edges 6 edges in
+    Digraph.apply_batch expected updates;
+    let msg =
+      Printf.sprintf "case %d: edges [%s], batch [%s]" case
+        (String.concat ";"
+           (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) edges))
+        (String.concat ";" (List.map pp_up updates))
+    in
+    check
+      Alcotest.(list (pair int int))
+      msg (Digraph.edges expected)
+      (Digraph.edges (I.graph t));
+    (try I.check_invariants t
+     with Failure e -> Alcotest.failf "%s: invariant: %s" msg e);
+    check_comps msg (T.scc expected) (I.components t)
+  done
+
 (* ---- randomized properties --------------------------------------------- *)
 
 let gen_graph_and_updates =
@@ -516,6 +578,10 @@ let () =
             test_inc_batch_cycle_through_new_edges;
           Alcotest.test_case "delta algebra" `Quick test_inc_delta_algebra;
           Alcotest.test_case "configs agree" `Quick test_inc_configs_agree;
+          Alcotest.test_case "delete then re-insert" `Quick
+            test_batch_delete_reinsert;
+          Alcotest.test_case "same edge twice, 3000 seeded cases" `Quick
+            test_batch_same_edge_random;
         ] );
       ( "inc properties",
         qsuite

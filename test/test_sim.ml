@@ -32,7 +32,7 @@ let oracle p g =
               List.for_all
                 (fun u' ->
                   let found = ref false in
-                  Digraph.iter_succ
+                  Digraph.iter_succ_sorted
                     (fun w -> if Hashtbl.mem sets.(u') w then found := true)
                     g v;
                   !found)
