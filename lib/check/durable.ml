@@ -77,6 +77,17 @@ let run ~scenario ~dir ~steps ~seed ?(emit = fun _ -> ()) () =
     | exception Oracle.Check_failed msg ->
         failf "step %d (%s): oracle disagreement: %s" step ctx msg
   in
+  (* The store's O(1) digest must agree with the digest of the same graph
+     rebuilt from its canonical text: a fingerprint lane that drifted from
+     the contents would show here. *)
+  let cross_check ~step =
+    let text = Ig_graph.Io.to_string (Oracle.graph !inst) in
+    let reparsed = Journal.graph_digest (Ig_graph.Io.of_string text) in
+    let live = Store.digest !store in
+    if not (String.equal live reparsed) then
+      failf "step %d: store digest %s, reparsed graph text gives %s" step live
+        reparsed
+  in
   let state_str () =
     Printf.sprintf "tip=%d graph=%s answer=%s" (Store.tip !store)
       (Store.digest !store)
@@ -222,6 +233,7 @@ let run ~scenario ~dir ~steps ~seed ?(emit = fun _ -> ()) () =
     emit
       (Printf.sprintf "init %s %s" scenario.Scenarios.name (state_str ()));
     check ~step:0 ~ctx:"init";
+    cross_check ~step:0;
     for step = 1 to steps do
       let r = Random.State.float rng 1.0 in
       if r < 0.62 then do_one ~step
@@ -229,7 +241,8 @@ let run ~scenario ~dir ~steps ~seed ?(emit = fun _ -> ()) () =
       else if r < 0.80 then undo_k ~step
       else if r < 0.86 then snapshot ~step
       else if r < 0.93 then recover_clean ~step
-      else recover_torn ~step
+      else recover_torn ~step;
+      cross_check ~step
     done;
     Store.close !store
   with

@@ -19,6 +19,9 @@
       dropped (never a half-applied delta) and the oracle must agree with
       the recovered engine.
 
+    After every action the store's O(1) graph digest must also equal the
+    digest of the graph reparsed from its canonical text.
+
     Every action appends deterministic transcript lines through [emit]
     (full graph/answer/trace digests, no timestamps, sorted iteration
     only), so running the same seed under two [OCAMLRUNPARAM=R] hash seeds

@@ -35,6 +35,8 @@ module Tracer = Ig_obs.Tracer
 type node = int
 type label = Interner.symbol
 
+type update = Insert of node * node | Delete of node * node
+
 type ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 let ba_create n : ba = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
@@ -59,6 +61,8 @@ type t = {
   mutable overlay : int; (* live entries across the four overlay tables *)
   mutable overlay_adds : int; (* live entries in the two add tables *)
   mutable overlay_dels : int; (* live tombstones in the two del tables *)
+  mutable fp_a : int; (* fingerprint lanes; see [edge_term] *)
+  mutable fp_b : int;
   (* Instrumentation sinks, default noop. Engines attach their registry
      and tracer at init (via [instrument]) so overlay pressure and
      compaction cost are observable; [copy] resets both to noop so a
@@ -88,6 +92,8 @@ let create ?(hint = 16) () =
       overlay = 0;
       overlay_adds = 0;
       overlay_dels = 0;
+      fp_a = 0;
+      fp_b = 0;
       obs = Obs.noop;
       trace = Tracer.noop;
     }
@@ -134,8 +140,58 @@ let label g v =
 
 let label_name g v = Interner.name g.interner (label g v)
 
+(* ---- fingerprint ---- *)
+
+(* The splitmix64 finalizer on 63-bit native ints: xor with a logical
+   right shift and multiplication by an odd constant are each bijections
+   modulo 2^63, so [mix] is one too. *)
+let mix z =
+  let z = (z lxor (z lsr 30)) * 0x3f58476d1ce4e5b9 in
+  let z = (z lxor (z lsr 27)) * 0x14d049bb133111eb in
+  z lxor (z lsr 31)
+
+let seed_a = 0x2545f4914f6cdd1d
+let seed_b = 0x1b873593cc9e2d51
+
+(* Edge terms key on the source id (>= 0), node terms on the complement of
+   the node id (< 0), so the two kinds never share an inner key. Nodes hash
+   their label name, not the symbol: symbols are local to an interner, and
+   a graph reparsed from text interns afresh. *)
+let edge_term seed u v = mix (mix (seed + u) + v)
+
+let node_term seed v name =
+  let h =
+    String.fold_left
+      (fun h c -> mix (h + Char.code c))
+      (seed + String.length name) name
+  in
+  edge_term seed (lnot v) h
+
+let render_fingerprint a b n m = Printf.sprintf "%016x%016x-%d-%d" a b n m
+
+let fingerprint g =
+  render_fingerprint g.fp_a g.fp_b (Vec.length g.labels) g.n_edges
+
+let fingerprint_after g ups =
+  let a = ref g.fp_a and b = ref g.fp_b and m = ref g.n_edges in
+  List.iter
+    (function
+      | Insert (u, v) ->
+          a := !a + edge_term seed_a u v;
+          b := !b + edge_term seed_b u v;
+          incr m
+      | Delete (u, v) ->
+          a := !a - edge_term seed_a u v;
+          b := !b - edge_term seed_b u v;
+          decr m)
+    ups;
+  render_fingerprint !a !b (Vec.length g.labels) !m
+
 let add_node_sym g l =
+  let name = Interner.name g.interner l in
   let v = Vec.push g.labels l in
+  g.fp_a <- g.fp_a + node_term seed_a v name;
+  g.fp_b <- g.fp_b + node_term seed_b v name;
   ignore (Vec.push g.succ_add []);
   ignore (Vec.push g.succ_del []);
   ignore (Vec.push g.pred_add []);
@@ -300,6 +356,8 @@ let add_edge g u v =
     Vec.set g.out_deg u (Vec.get g.out_deg u + 1);
     Vec.set g.in_deg v (Vec.get g.in_deg v + 1);
     g.n_edges <- g.n_edges + 1;
+    g.fp_a <- g.fp_a + edge_term seed_a u v;
+    g.fp_b <- g.fp_b + edge_term seed_b u v;
     note_overlay g;
     maybe_compact g;
     true
@@ -325,6 +383,8 @@ let remove_edge g u v =
     Vec.set g.out_deg u (Vec.get g.out_deg u - 1);
     Vec.set g.in_deg v (Vec.get g.in_deg v - 1);
     g.n_edges <- g.n_edges - 1;
+    g.fp_a <- g.fp_a - edge_term seed_a u v;
+    g.fp_b <- g.fp_b - edge_term seed_b u v;
     note_overlay g;
     maybe_compact g;
     true
@@ -376,6 +436,8 @@ let copy g =
     overlay = g.overlay;
     overlay_adds = g.overlay_adds;
     overlay_dels = g.overlay_dels;
+    fp_a = g.fp_a;
+    fp_b = g.fp_b;
     (* A copy is a scratch/oracle graph until someone instruments it:
        inheriting the sinks would double-count compactions and gauges
        against the original engine's registry. *)

@@ -15,13 +15,19 @@
     exceeds [max 64 (n_edges/8)] live entries, and on explicit
     {!compact}.
 
+    The store keeps a fingerprint of its contents up to date in O(1) per
+    node or effective edge update; see {!fingerprint}.
+
     Engines do not use this module directly: {!Digraph} includes it and
-    adds the update vocabulary and whole-graph walks. [nodes_with_label]
+    adds the batch vocabulary and whole-graph walks. [nodes_with_label]
     lists the most recently added node first, and every accessor raises
     [invalid_arg] on an unknown node. *)
 
 type node = int
 type label = Interner.symbol
+
+type update = Insert of node * node | Delete of node * node
+
 type t
 
 val create : ?hint:int -> unit -> t
@@ -40,6 +46,18 @@ val remove_edge : t -> node -> node -> bool
 
 val compact : t -> unit
 (** Fold the overlay into fresh base arrays; semantically a no-op. *)
+
+val fingerprint : t -> string
+(** O(1). Two 63-bit lanes as 32 hex characters, then [-n_nodes-n_edges].
+    Each lane is the wrapping sum of a mixed term per node (its id and
+    label name) and per edge, maintained by {!add_node_sym}, {!add_edge}
+    and {!remove_edge}; equal graphs have equal fingerprints whatever
+    their history, overlay state or interner. *)
+
+val fingerprint_after : t -> update list -> string
+(** The fingerprint [t] would have after applying the updates, computed
+    without touching [t]. Precondition: each update is effective in order
+    (an insert of an absent edge, a delete of a present one). *)
 
 val interner : t -> Interner.t
 val intern_label : t -> string -> label

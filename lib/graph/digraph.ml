@@ -1,9 +1,7 @@
 (* The graph store is the CSR + delta-overlay representation of [Csr];
-   this module adds the update vocabulary and the whole-graph walks. *)
+   this module adds the batch vocabulary and the whole-graph walks. *)
 
 include Csr
-
-type update = Insert of node * node | Delete of node * node
 
 type backend = [ `Csr ]
 

@@ -49,6 +49,19 @@ val compact : t -> unit
 (** Fold the delta overlay into fresh base arrays (semantically a no-op;
     O(n + m)). *)
 
+val fingerprint : t -> string
+(** O(1) identity of the graph's contents: two 63-bit hash lanes as 32
+    hex characters, then [-n_nodes-n_edges]. Each lane sums one mixed
+    term per node (id and label name) and per edge, kept current by every
+    node addition and effective edge update, so two graphs with the same
+    labelled nodes and edges agree whatever their history, overlay state
+    or interner. Compaction leaves it unchanged. *)
+
+val fingerprint_after : t -> update list -> string
+(** [fingerprint_after g ups] is [fingerprint g] as it would read after
+    applying [ups], without mutating or copying [g]. Precondition: every
+    update is effective in order (see [Journal.effective_ops]). *)
+
 val overlay_size : t -> int
 (** Live overlay entries pending compaction; 0 right after {!compact}. *)
 

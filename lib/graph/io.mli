@@ -9,7 +9,12 @@
     the dense internal ids on load. The readers compact the graph they
     build, so a load hands back flat base arrays with an empty overlay. *)
 
+val to_string : Digraph.t -> string
+(** The canonical text: a [# incgraph v1: N nodes M edges] header, nodes
+    in id order, edges in lexicographic order. *)
+
 val write : Format.formatter -> Digraph.t -> unit
+(** Prints {!to_string}. *)
 
 val save : string -> Digraph.t -> unit
 (** Write to a file path. *)

@@ -1,5 +1,4 @@
 module Digraph = Ig_graph.Digraph
-module Io = Ig_graph.Io
 module Obs = Ig_obs.Obs
 
 type t = {
@@ -22,7 +21,7 @@ type scanned = {
 }
 
 let digest_hex s = Digest.to_hex (Digest.string s)
-let graph_digest g = digest_hex (Format.asprintf "%a" Io.write g)
+let graph_digest = Digraph.fingerprint
 
 let read_all path =
   In_channel.with_open_bin path In_channel.input_all

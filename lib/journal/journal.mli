@@ -19,11 +19,24 @@
 
     {2 Digests}
 
-    Graph state is identified by {!graph_digest}: the hex MD5 of the
-    canonical {!Ig_graph.Io.write} text (header line, nodes in id order,
-    edges in lexicographic order). Batches record the digest before and
-    after, so replay and undo are verified byte-for-byte, not merely
-    set-equal. *)
+    Graph state is identified by {!graph_digest}, which is
+    {!Ig_graph.Digraph.fingerprint}: two 63-bit lanes, each the wrapping
+    sum of one mixed term per node (its id and label name) and one per
+    edge, rendered as 32 hex characters and followed by the exact node
+    and edge counts. The graph store keeps the lanes current as it
+    mutates — a few integer operations per node or effective edge update
+    — so reading the digest is O(1), and the post-state digest of a batch
+    is projected from the pre-state and the ops
+    ({!Ig_graph.Digraph.fingerprint_after}) without copying or applying
+    anything. Batches record the digest before and after, and every
+    apply, replay and undo is checked against them.
+
+    Two different graphs collide only if both 63-bit lanes do: about
+    2{^-126} for a random divergence. A single dropped or extra edge
+    update always changes the edge count, so it is always detected. The
+    digest is not a security boundary: like the MD5 of an unauthenticated
+    file it replaced, it catches corruption and divergence, not an
+    adversary who can rewrite the journal. *)
 
 type t
 (** An open journal, positioned for appending. *)
@@ -42,7 +55,10 @@ type scanned = {
 }
 
 val graph_digest : Ig_graph.Digraph.t -> string
+(** O(1); see Digests above. *)
+
 val digest_hex : string -> string
+(** Hex MD5 of a string (snapshot checksums, answer digests). *)
 
 val scan : path:string -> (scanned, string) result
 (** Read-only recovery scan; see the crash-recovery contract above. *)

@@ -44,7 +44,8 @@ type header = {
   cls : string;  (** query class ("kws", "rpq", …) or scenario name *)
   bound : int;  (** KWS hop bound; 0 when unused *)
   qargs : string list;  (** class-specific query arguments *)
-  base_digest : string;  (** hex MD5 of the base graph's canonical text *)
+  base_digest : string;
+      (** the base graph's digest ({!Ig_graph.Digraph.fingerprint}) *)
 }
 
 type batch = {

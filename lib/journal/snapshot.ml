@@ -9,14 +9,13 @@ type t = {
 }
 
 let tool_name = "incgraph-journal-snapshot"
-let schema_version = 1
+let schema_version = 2
 
 let of_state ~seq ~graph ~answer_digest ~certs =
-  let graph_text = Format.asprintf "%a" Ig_graph.Io.write graph in
   {
     seq;
-    graph_text;
-    graph_digest = Journal.digest_hex graph_text;
+    graph_text = Ig_graph.Io.to_string graph;
+    graph_digest = Journal.graph_digest graph;
     answer_digest;
     certs;
   }
@@ -89,13 +88,13 @@ let validate json =
                 in
                 if not (String.equal sum (checksum t)) then
                   Error "snapshot checksum mismatch"
-                else if
-                  not (String.equal gd (Journal.digest_hex graph_text))
-                then Error "graph digest does not match graph text"
                 else
                   match Ig_graph.Io.of_string graph_text with
                   | exception Failure e -> Error ("unparsable graph: " ^ e)
-                  | _ -> Ok t)
+                  | g ->
+                      if not (String.equal gd (Journal.graph_digest g)) then
+                        Error "graph digest does not match graph text"
+                      else Ok t)
           | _ ->
               Error
                 "missing seq/graph/graph_digest/answer_digest/certs/checksum"))

@@ -18,8 +18,8 @@
 
 type t = {
   seq : int;
-  graph_text : string;  (** canonical {!Ig_graph.Io.write} text *)
-  graph_digest : string;
+  graph_text : string;  (** canonical {!Ig_graph.Io.to_string} text *)
+  graph_digest : string;  (** {!Journal.graph_digest} of that graph *)
   answer_digest : string;  (** hex MD5 of the canonical answer; "" if none *)
   certs : (string * string) list;  (** named engine certificate sections *)
 }
@@ -38,7 +38,9 @@ val to_json : t -> Ig_obs.Json.t
 (** Includes the checksum field. *)
 
 val validate : Ig_obs.Json.t -> (t, string) result
-(** Structural + checksum validation (used by bench/validate.exe). *)
+(** Structural + checksum validation (used by bench/validate.exe); also
+    parses [graph_text] and rejects a [graph_digest] that is not the
+    digest of the parsed graph. *)
 
 val path : dir:string -> seq:int -> string
 

@@ -82,8 +82,8 @@ val do_batch : t -> Ig_graph.Digraph.update list -> Record.batch option
 
 val undo : t -> k:int -> (Record.batch, string) result
 (** Roll back the last [k] batches with a compensating batch. The
-    post-undo graph digest must equal, byte for byte, the journaled [pre]
-    of the oldest undone batch. *)
+    post-undo graph digest must equal the journaled [pre] of the oldest
+    undone batch. *)
 
 val snapshot : t -> string
 (** Write [snapshot-<tip>] from the client's current state; returns the
@@ -100,7 +100,8 @@ val dir : t -> string
 val header : t -> Record.header
 val batches : t -> Record.batch list
 val digest : t -> string
-(** Current graph digest of the attached client. *)
+(** Current graph digest of the attached client ({!Journal.graph_digest},
+    O(1)). *)
 
 val writable : t -> bool
 val close : t -> unit

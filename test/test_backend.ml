@@ -5,14 +5,18 @@
    every observable view (sorted adjacency, degrees, labels, edge
    membership, operation return values) compared byte for byte after
    every op, including immediately around forced [Digraph.compact]
-   points.
+   points. After every op the O(1) fingerprint must also equal that of
+   the same contents built another way — from the model with edges
+   inserted in reverse order, and by a text round-trip — and copies must
+   move their fingerprints independently.
 
    The qcheck properties pin the overlay laws: compact is a semantic
    no-op and idempotent; arbitrary interleavings of insert / delete /
    absent-delete / duplicate-insert / compact agree with a batch-built
    graph and with the model; and copy of an un-compacted graph is deep —
    pending deltas are preserved and the copy is independent of the
-   original. *)
+   original; and [fingerprint_after] projects exactly the fingerprint that
+   applying an effective update list yields. *)
 
 open Ig_graph
 
@@ -174,6 +178,57 @@ let render o =
 let view g = render (graph_obs g)
 let model_view md = render (model_obs md)
 
+(* ---- fingerprint battery --------------------------------------------------- *)
+
+(* The model's contents built with a different history: nodes in id
+   order, edges in reverse lexicographic order, never compacted. *)
+let model_graph md =
+  let g = Digraph.create () in
+  Array.iter (fun l -> ignore (Digraph.add_node g l)) md.labels;
+  List.iter
+    (fun (u, v) -> ignore (Digraph.add_edge g u v))
+    (List.rev (Edges.elements md.edges));
+  g
+
+let toggle g md (u, v) =
+  if Edges.mem (u, v) md.edges then begin
+    ignore (Digraph.remove_edge g u v);
+    { md with edges = Edges.remove (u, v) md.edges }
+  end
+  else begin
+    ignore (Digraph.add_edge g u v);
+    { md with edges = Edges.add (u, v) md.edges }
+  end
+
+let check_fingerprint ~ctx g md =
+  let fp = Digraph.fingerprint g in
+  let expect what got =
+    if got <> fp then
+      Alcotest.failf "%s: fingerprint %s, but %s gives %s" ctx fp what got
+  in
+  expect "the model rebuilt in reverse edge order"
+    (Digraph.fingerprint (model_graph md));
+  expect "a text round-trip"
+    (Digraph.fingerprint (Io.of_string (Io.to_string g)));
+  let n = Array.length md.labels in
+  if n > 0 then begin
+    (* Two copies, each toggling a different edge: every graph's
+       fingerprint follows its own contents only. *)
+    let c1 = Digraph.copy g and c2 = Digraph.copy g in
+    let md1 = toggle c1 md (n - 1, 0) in
+    expect "the original after a copy moved" (Digraph.fingerprint g);
+    expect "an untouched copy" (Digraph.fingerprint c2);
+    let fp1 = Digraph.fingerprint c1 in
+    if fp1 = fp || fp1 <> Digraph.fingerprint (model_graph md1) then
+      Alcotest.failf "%s: toggled copy fingerprint %s (original %s)" ctx fp1 fp;
+    let md2 = toggle c2 md (0, n - 1) in
+    if Digraph.fingerprint c1 <> fp1 then
+      Alcotest.failf "%s: a copy moved when its sibling did" ctx;
+    if Digraph.fingerprint c2 <> Digraph.fingerprint (model_graph md2) then
+      Alcotest.failf "%s: second copy disagrees with its model" ctx;
+    expect "the original after both copies moved" (Digraph.fingerprint g)
+  end
+
 (* ---- the differential runner ----------------------------------------------- *)
 
 (* Drive the graph and the model through [ops]; with [compact_every = k >
@@ -195,7 +250,8 @@ let run_diff ?(compact_every = 0) ops =
       let vm = model_view md' and vg = view g in
       if vm <> vg then
         Alcotest.failf "op %d (%s): views diverge\n--- model\n%s--- graph\n%s"
-          i (pp_op op) vm vg)
+          i (pp_op op) vm vg;
+      check_fingerprint ~ctx:(Printf.sprintf "op %d (%s)" i (pp_op op)) g md')
     ops;
   g
 
@@ -324,6 +380,28 @@ let test_hint_presizes () =
       check Alcotest.bool "member" true (Digraph.mem_edge g 0 1))
     [ 0; 1; 8; 100 ]
 
+(* The fingerprint hashes label names, not interner symbols: the same
+   contents over interners that numbered the labels differently agree,
+   and relabelling a node moves the fingerprint. *)
+let test_fingerprint_labels () =
+  let build ?(pre_intern = []) labels =
+    let g = Digraph.create () in
+    List.iter (fun l -> ignore (Digraph.intern_label g l)) pre_intern;
+    List.iter (fun l -> ignore (Digraph.add_node g l)) labels;
+    ignore (Digraph.add_edge g 0 1);
+    g
+  in
+  let g = build [ "a"; "b" ] in
+  let fp = Digraph.fingerprint g in
+  check Alcotest.string "symbols numbered differently" fp
+    (Digraph.fingerprint (build ~pre_intern:[ "q"; "b" ] [ "a"; "b" ]));
+  check Alcotest.string "text round-trip" fp
+    (Digraph.fingerprint (Io.of_string (Io.to_string g)));
+  check Alcotest.bool "labels swapped" false
+    (fp = Digraph.fingerprint (build [ "b"; "a" ]));
+  check Alcotest.bool "one label changed" false
+    (fp = Digraph.fingerprint (build [ "a"; "c" ]))
+
 (* ---- qcheck properties ------------------------------------------------------ *)
 
 let gen_op =
@@ -395,6 +473,41 @@ let prop_copy_deep =
       Digraph.compact c;
       copy_intact && view g = vg)
 
+(* An arbitrary graph plus candidate edge updates; the property keeps the
+   ones that are effective in order, found by applying them to a copy. *)
+let arb_graph_updates =
+  let gen_edge_op =
+    QCheck.Gen.(
+      map3
+        (fun ins u v -> if ins then Ins (u, v) else Del (u, v))
+        bool (int_bound 40) (int_bound 40))
+  in
+  let show ops = String.concat "; " (List.map pp_op ops) in
+  QCheck.make
+    ~print:(fun (ops, cands) -> show ops ^ " | " ^ show cands)
+    QCheck.Gen.(
+      pair
+        (map (fun ops -> Add_node "a" :: ops) (list_size (int_bound 150) gen_op))
+        (list_size (int_bound 30) gen_edge_op))
+
+let prop_fingerprint_after =
+  QCheck.Test.make ~count:150
+    ~name:"fingerprint_after g ups = fingerprint of ups applied to a copy"
+    arb_graph_updates (fun (ops, cands) ->
+      let g = graph_of ops in
+      let n = Digraph.n_nodes g in
+      let c = Digraph.copy g in
+      let update = function
+        | Ins (u, v) -> Digraph.Insert (u mod n, v mod n)
+        | Del (u, v) -> Digraph.Delete (u mod n, v mod n)
+        | Add_node _ | Compact -> invalid_arg "not an edge op"
+      in
+      let effective = List.filter (Digraph.apply c) (List.map update cands) in
+      let before = Digraph.fingerprint g and v0 = view g in
+      Digraph.fingerprint_after g effective = Digraph.fingerprint c
+      && Digraph.fingerprint g = before
+      && view g = v0)
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -407,8 +520,15 @@ let () =
           Alcotest.test_case "copy preserves pending deltas" `Quick
             test_copy_preserves_overlay;
           Alcotest.test_case "hint pre-sizes safely" `Quick test_hint_presizes;
+          Alcotest.test_case "fingerprint hashes label names" `Quick
+            test_fingerprint_labels;
         ] );
       ( "overlay laws",
-        qsuite [ prop_compact_noop; prop_interleavings_agree; prop_copy_deep ]
-      );
+        qsuite
+          [
+            prop_compact_noop;
+            prop_interleavings_agree;
+            prop_copy_deep;
+            prop_fingerprint_after;
+          ] );
     ]

@@ -391,6 +391,44 @@ let test_io_roundtrip () =
       check Alcotest.bool "edge kept" true (Digraph.mem_edge g' u v))
     g
 
+(* The Format-based writer [Io.to_string] replaced, kept as the reference
+   for byte identity. *)
+let format_write ppf g =
+  Format.fprintf ppf "# incgraph v1: %d nodes %d edges@\n" (Digraph.n_nodes g)
+    (Digraph.n_edges g);
+  Digraph.iter_nodes
+    (fun v -> Format.fprintf ppf "v %d %s@\n" v (Digraph.label_name g v))
+    g;
+  Digraph.iter_edges (fun u v -> Format.fprintf ppf "e %d %d@\n" u v) g
+
+let test_io_to_string () =
+  let g = Digraph.create () in
+  List.iter (fun l -> ignore (Digraph.add_node g l)) [ "a"; "b"; "a"; "c" ];
+  List.iter
+    (fun (u, v) -> ignore (Digraph.add_edge g u v))
+    [ (0, 1); (1, 2); (2, 3); (3, 0) ];
+  Digraph.compact g;
+  (* Pending overlay on top of the base: a tombstone, a base edge deleted
+     and re-added, fresh adds, and a node past the base. *)
+  ignore (Digraph.remove_edge g 1 2);
+  ignore (Digraph.remove_edge g 3 0);
+  ignore (Digraph.add_edge g 3 0);
+  ignore (Digraph.add_node g "long_label_10");
+  ignore (Digraph.add_edge g 4 0);
+  ignore (Digraph.add_edge g 0 4);
+  ignore (Digraph.add_edge g 2 2);
+  check Alcotest.bool "overlay pending" true (Digraph.overlay_size g > 0);
+  let s = Io.to_string g in
+  check Alcotest.string "identical to the Format writer"
+    (Format.asprintf "%a" format_write g) s;
+  check Alcotest.string "Io.write prints the same bytes"
+    (Format.asprintf "%a" Io.write g) s;
+  check Alcotest.string "exact text"
+    "# incgraph v1: 5 nodes 6 edges\n\
+     v 0 a\nv 1 b\nv 2 a\nv 3 c\nv 4 long_label_10\n\
+     e 0 1\ne 0 4\ne 2 2\ne 2 3\ne 3 0\ne 4 0\n"
+    s
+
 let test_io_errors () =
   let bad s =
     match Io.of_string s with
@@ -462,6 +500,8 @@ let () =
       ( "io",
         [
           Alcotest.test_case "roundtrip" `Quick test_io_roundtrip;
+          Alcotest.test_case "to_string with pending overlay" `Quick
+            test_io_to_string;
           Alcotest.test_case "errors" `Quick test_io_errors;
         ] );
     ]

@@ -4,13 +4,16 @@
    journal at every byte boundary of the final record — recovery must
    either replay the full committed prefix or cleanly drop the torn tail,
    never raise, never apply half a batch — snapshot self-checksums, and
-   store-level do/undo/recover round-trips verified by graph digests. *)
+   store-level do/undo/recover round-trips verified by graph digests, and
+   negative tests showing that every digest and version check rejects
+   what it exists to reject. *)
 
 module D = Ig_graph.Digraph
 module R = Ig_journal.Record
 module J = Ig_journal.Journal
 module Sn = Ig_journal.Snapshot
 module St = Ig_journal.Store
+module Json = Ig_obs.Json
 
 let check = Alcotest.check
 
@@ -417,6 +420,159 @@ let test_write_ahead_crash () =
             (D.mem_edge g 5 3);
           St.close st)
 
+(* ---- the checks bite ------------------------------------------------------ *)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let expect_error ~ctx ~substr = function
+  | Ok _ -> Alcotest.failf "%s: accepted, expected an error with %S" ctx substr
+  | Error e ->
+      if not (contains e substr) then
+        Alcotest.failf "%s: error %S does not mention %S" ctx e substr
+
+let expect_failure ~ctx ~substr f =
+  expect_error ~ctx ~substr
+    (match f () with _ -> Ok () | exception Failure e -> Error e)
+
+(* A graph client whose engine misapplies batches while [faulty] is set:
+   [`Drop] loses the first op, [`Extra] also inserts an absent edge. *)
+let faulty_client g fault faulty =
+  let base = St.graph_client g in
+  {
+    base with
+    St.apply =
+      (fun ops ->
+        if not !faulty then base.St.apply ops
+        else
+          match fault with
+          | `Drop -> base.St.apply (List.tl ops)
+          | `Extra ->
+              base.St.apply ops;
+              ignore (D.add_edge g 5 0));
+  }
+
+let test_do_batch_diverged () =
+  List.iter
+    (fun (name, fault) ->
+      let dir = fresh_dir () in
+      let g = mk_graph () in
+      let client = faulty_client g fault (ref true) in
+      let store = St.init ~dir ~header:(header_of g) ~client () in
+      expect_failure ~ctx:name ~substr:"engine diverged" (fun () ->
+          St.do_batch store [ D.Insert (4, 5); D.Delete (0, 1) ]);
+      St.close store)
+    [ ("dropped op", `Drop); ("extra edge", `Extra) ]
+
+let test_undo_diverged () =
+  let dir = fresh_dir () in
+  let g = mk_graph () and faulty = ref false in
+  let store =
+    St.init ~dir ~header:(header_of g) ~client:(faulty_client g `Drop faulty) ()
+  in
+  ignore (St.do_batch store [ D.Insert (4, 5); D.Delete (0, 1) ]);
+  faulty := true;
+  expect_error ~ctx:"undo" ~substr:"rolled-back digest" (St.undo store ~k:1);
+  St.close store
+
+(* Recovery checks the rebuilt graph against the snapshot digest, and
+   every replayed batch against its journaled pre and post digests. *)
+let test_attach_checks () =
+  let journaled () =
+    let dir = fresh_dir () in
+    let store, _ = mk_store dir in
+    ignore (St.do_batch store [ D.Insert (4, 5); D.Delete (0, 1) ]);
+    St.close store;
+    dir
+  in
+  let attach ?(fault = `None) dir =
+    match St.plan ~from_scratch:true ~dir () with
+    | Error e -> Alcotest.fail e
+    | Ok plan ->
+        let g = Sn.graph plan.St.snapshot in
+        let client =
+          match fault with
+          | `None -> St.graph_client g
+          | `Snapshot ->
+              ignore (D.add_edge g 5 0);
+              St.graph_client g
+          | `Drop -> faulty_client g `Drop (ref true)
+        in
+        Result.map St.close (St.attach ~dir ~plan ~client ())
+  in
+  expect_error ~ctx:"rebuilt graph off its snapshot"
+    ~substr:"snapshot-0: graph digest"
+    (attach ~fault:`Snapshot (journaled ()));
+  expect_error ~ctx:"diverging replay" ~substr:"batch 1 post"
+    (attach ~fault:`Drop (journaled ()));
+  (* A journaled batch whose pre digest is not the state it follows: its
+     ops and post are sound, so only the pre check can reject it. *)
+  let dir = journaled () in
+  let path = St.journal_path ~dir in
+  let scanned =
+    match J.scan ~path with Ok s -> s | Error e -> Alcotest.fail e
+  in
+  let j = J.create ~fsync:false ~path scanned.J.header in
+  List.iter
+    (fun b ->
+      ignore
+        (J.append j ~kind:b.R.kind ~ops:b.R.ops ~pre:(b.R.pre ^ "0")
+           ~post:b.R.post))
+    scanned.J.batches;
+  J.close j;
+  expect_error ~ctx:"forged pre digest" ~substr:"batch 1 pre" (attach dir);
+  check Alcotest.bool "the untouched journal attaches" true
+    (attach (journaled ()) = Ok ())
+
+let saved_snapshot () =
+  let dir = fresh_dir () in
+  let store, _ = mk_store dir in
+  ignore (St.do_batch store [ D.Insert (4, 5) ]);
+  let p = St.snapshot store in
+  St.close store;
+  match Sn.load ~path:p with Ok s -> s | Error e -> Alcotest.fail e
+
+(* Checksum recomputed over a graph text with one edge changed: only the
+   digest check can tell. *)
+let test_snapshot_digest_bites () =
+  let s = saved_snapshot () in
+  let graph_text =
+    String.concat "\n"
+      (List.map
+         (fun l -> if l = "e 3 4" then "e 3 5" else l)
+         (String.split_on_char '\n' s.Sn.graph_text))
+  in
+  check Alcotest.bool "one edge changed" false (graph_text = s.Sn.graph_text);
+  check Alcotest.bool "intact snapshot validates" true
+    (Result.is_ok (Sn.validate (Sn.to_json s)));
+  expect_error ~ctx:"edited graph text"
+    ~substr:"graph digest does not match graph text"
+    (Sn.validate (Sn.to_json { s with Sn.graph_text }))
+
+let test_old_versions_rejected () =
+  let path = fresh_dir () ^ ".igj" in
+  J.close
+    (J.create ~fsync:false ~path
+       { (header_of (mk_graph ())) with R.version = 1 });
+  expect_error ~ctx:"version-1 journal" ~substr:"format version 1, expected 2"
+    (J.scan ~path);
+  let json =
+    match Sn.to_json (saved_snapshot ()) with
+    | Json.Obj fields ->
+        Json.Obj
+          (List.map
+             (fun (k, v) ->
+               if k = "schema_version" then (k, Json.Int 1) else (k, v))
+             fields)
+    | _ -> Alcotest.fail "snapshot is not an object"
+  in
+  expect_error ~ctx:"schema 1 snapshot" ~substr:"schema_version 1, expected 2"
+    (Sn.validate json)
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -459,5 +615,18 @@ let () =
             test_undo_of_undo_is_redo;
           Alcotest.test_case "as-of time travel" `Quick test_as_of_time_travel;
           Alcotest.test_case "write-ahead crash" `Quick test_write_ahead_crash;
+        ] );
+      ( "checks bite",
+        [
+          Alcotest.test_case "do_batch detects a diverged engine" `Quick
+            test_do_batch_diverged;
+          Alcotest.test_case "undo detects a diverged rollback" `Quick
+            test_undo_diverged;
+          Alcotest.test_case "attach checks snapshot, pre and post" `Quick
+            test_attach_checks;
+          Alcotest.test_case "snapshot digest vs graph text" `Quick
+            test_snapshot_digest_bites;
+          Alcotest.test_case "old versions rejected" `Quick
+            test_old_versions_rejected;
         ] );
     ]
