@@ -15,9 +15,9 @@
    "traceEvents" key are checked as Chrome trace-event exports
    (Core.Obs.Trace_export.validate: well-formed events, nesting spans,
    monotone timestamps, rule-tagged aff_enter instants); files whose
-   "tool" is "incgraph-lint" as lint reports (Core.Lint.validate, schema
+   "tool" is "incgraph-lint" as lint reports (Ig_lint.Lint.validate, schema
    v1 or v2); files whose "tool" is "incgraph-lint-summary" as
-   per-module effect summaries (Core.Lint_summary.validate); files
+   per-module effect summaries (Ig_lint.Summary.validate); files
    whose "tool" is "incgraph-journal-snapshot" as certificate snapshots
    (Core.Journal.Snapshot.validate: structure + self-checksum); everything
    else as a BENCH report. Exits nonzero on the first file that fails to
@@ -29,7 +29,7 @@ module Json = Core.Obs.Json
 module Report = Core.Obs.Report
 module Trace_export = Core.Obs.Trace_export
 module Openmetrics = Core.Obs.Openmetrics
-module Lint = Core.Lint
+module Lint = Ig_lint.Lint
 module J = Core.Journal
 
 type kind =
@@ -87,16 +87,16 @@ let check path =
       | Ok (version, n) -> Ok (Lint_report (version, n)))
   | Ok json
     when Option.bind (Json.member "tool" json) Json.to_str_opt
-         = Some Core.Lint_summary.tool_name -> (
-      match Core.Lint_summary.validate json with
+         = Some Ig_lint.Summary.tool_name -> (
+      match Ig_lint.Summary.validate json with
       | Error e ->
           Error (Printf.sprintf "%s: lint-summary violation: %s" path e)
       | Ok s ->
           Ok
             (Lint_summary
-               ( s.Core.Lint_summary.module_name,
-                 List.length s.Core.Lint_summary.exports,
-                 List.length s.Core.Lint_summary.globals )))
+               ( s.Ig_lint.Summary.module_name,
+                 List.length s.Ig_lint.Summary.exports,
+                 List.length s.Ig_lint.Summary.globals )))
   | Ok json
     when Option.bind (Json.member "tool" json) Json.to_str_opt
          = Some J.Snapshot.tool_name -> (

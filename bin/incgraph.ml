@@ -132,41 +132,8 @@ let generate_cmd =
 
 (* ---- query class arguments ------------------------------------------------ *)
 
-type qspec =
-  | Qkws of Core.Kws.Batch.query
-  | Qrpq of Core.Regex.t
-  | Qscc
-  | Qiso of string list * (int * int) list
-  | Qsim of string list * (int * int) list
-
-let qspec_of ~cls ~bound ~args =
-  match (cls, args) with
-  | "scc", [] -> Ok Qscc
-  | "scc", _ -> Error "scc takes no query arguments"
-  | "kws", (_ :: _ as kws) -> Ok (Qkws { Core.Kws.Batch.keywords = kws; bound })
-  | "kws", [] -> Error "kws needs keyword arguments"
-  | "rpq", [ expr ] -> (
-      match Core.Regex.parse expr with
-      | Ok q -> Ok (Qrpq q)
-      | Error e -> Error ("bad regex: " ^ e))
-  | "rpq", _ -> Error "rpq needs exactly one regex argument"
-  | (("iso" | "sim") as which), (_ :: _ as spec) ->
-      (* labels then edges: l1 l2 l3 0-1 1-2 2-0 *)
-      let labels, edges =
-        List.partition (fun s -> not (String.contains s '-')) spec
-      in
-      let parse_edge s =
-        match String.split_on_char '-' s with
-        | [ a; b ] -> (int_of_string a, int_of_string b)
-        | _ -> failwith "bad edge"
-      in
-      (try
-         let es = List.map parse_edge edges in
-         Ok (if which = "iso" then Qiso (labels, es) else Qsim (labels, es))
-       with _ -> Error (which ^ " edges look like 0-1 1-2"))
-  | "iso", [] -> Error "iso needs labels and edges"
-  | "sim", [] -> Error "sim needs labels and edges"
-  | c, _ -> Error (Printf.sprintf "unknown query class %S" c)
+module A = Ig_check.Adapters
+module Oracle = Ig_check.Oracle
 
 let cls_arg =
   Arg.(
@@ -181,112 +148,32 @@ let qargs_arg =
 let bound_arg =
   Arg.(value & opt int 2 & info [ "b"; "bound" ] ~doc:"KWS hop bound." ~docv:"B")
 
+(* CLASS QUERY... and -b, parsed into a registry query. *)
+let query_arg =
+  let parse cls bound args =
+    match A.of_args ~cls ~bound ~args with
+    | Ok q -> `Ok q
+    | Error e -> `Error (false, e)
+  in
+  Term.(ret (const parse $ cls_arg $ bound_arg $ qargs_arg))
+
 (* ---- query ----------------------------------------------------------------- *)
 
-let run_query g = function
-  | Qkws q ->
-      let roots, t = time (fun () -> Core.Kws.Batch.run g q) in
-      Format.printf "KWS: %d match roots in %.3fs@." (List.length roots) t
-  | Qrpq q ->
-      let pairs, t = time (fun () -> Core.Rpq.Batch.run_query g q) in
-      Format.printf "RPQ: %d match pairs in %.3fs@." (List.length pairs) t
-  | Qscc ->
-      let comps, t = time (fun () -> Core.Scc.Tarjan.scc g) in
-      let giant = List.fold_left (fun a c -> max a (List.length c)) 0 comps in
-      Format.printf "SCC: %d components (largest %d) in %.3fs@."
-        (List.length comps) giant t
-  | Qiso (labels, edges) ->
-      let p = Core.Iso.Pattern.create ~labels ~edges in
-      let ms, t = time (fun () -> Core.Iso.Vf2.find_all g p) in
-      Format.printf "ISO: %d matches in %.3fs@." (List.length ms) t
-  | Qsim (labels, edges) ->
-      let p = Core.Iso.Pattern.create ~labels ~edges in
-      let ps, t =
-        time (fun () -> Core.Sim.Batch.pairs (Core.Sim.Batch.run p g))
-      in
-      Format.printf "SIM: %d relation pairs in %.3fs@." (List.length ps) t
-
 let query_cmd =
-  let run path cls bound args =
-    match qspec_of ~cls ~bound ~args with
-    | Error e -> `Error (false, e)
-    | Ok spec ->
-        run_query (load path) spec;
-        `Ok ()
+  let run path q =
+    let g = load path in
+    let answer, t = time (fun () -> A.batch q g g) in
+    let cls, _, _ = A.to_args q in
+    Format.printf "%s: %s in %.3fs@." (String.uppercase_ascii cls)
+      (A.summary answer) t
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Answer one query with the batch algorithm.")
-    Term.(
-      ret (const run $ graph_arg $ cls_arg $ bound_arg $ qargs_arg))
+    Term.(const run $ graph_arg $ query_arg)
 
 (* ---- stream / top ---------------------------------------------------------- *)
 
 module Obs = Core.Obs
-
-(* Build an obs/trace-carrying incremental engine over a copy of [g],
-   keeping the per-batch ΔO summary and final answer description the
-   live monitor prints. *)
-let stream_session ?(trace = Obs.Tracer.noop) g spec =
-  let o = Obs.create () in
-  let copy = Core.Digraph.copy g in
-  let sess update describe = (o, update, describe) in
-  match spec with
-  | Qkws q ->
-      let s = Core.Kws.Inc.init ~obs:o ~trace copy q in
-      sess
-        (fun ups ->
-          let d = Core.Kws.Inc.apply_batch s ups in
-          Printf.sprintf "roots +%d/-%d"
-            (List.length d.Core.Kws.Inc.added)
-            (List.length d.Core.Kws.Inc.removed))
-        (fun () ->
-          Printf.sprintf "%d roots"
-            (List.length (Core.Kws.Inc.match_roots s)))
-  | Qrpq q ->
-      let a = Core.Nfa.compile (Core.Digraph.interner copy) q in
-      let s = Core.Rpq.Inc.init ~obs:o ~trace copy a in
-      sess
-        (fun ups ->
-          let d = Core.Rpq.Inc.apply_batch s ups in
-          Printf.sprintf "pairs +%d/-%d"
-            (List.length d.Core.Rpq.Inc.added)
-            (List.length d.Core.Rpq.Inc.removed))
-        (fun () ->
-          Printf.sprintf "%d pairs" (List.length (Core.Rpq.Inc.matches s)))
-  | Qscc ->
-      let s = Core.Scc.Inc.init ~obs:o ~trace copy in
-      sess
-        (fun ups ->
-          let d = Core.Scc.Inc.apply_batch s ups in
-          Printf.sprintf "components -%d/+%d"
-            (List.length d.Core.Scc.Inc.removed)
-            (List.length d.Core.Scc.Inc.added))
-        (fun () ->
-          Printf.sprintf "%d components"
-            (List.length (Core.Scc.Inc.components s)))
-  | Qiso (labels, edges) ->
-      let p = Core.Iso.Pattern.create ~labels ~edges in
-      let s = Core.Iso.Inc.init ~obs:o ~trace copy p in
-      sess
-        (fun ups ->
-          let d = Core.Iso.Inc.apply_batch s ups in
-          Printf.sprintf "matches +%d/-%d"
-            (List.length d.Core.Iso.Inc.added)
-            (List.length d.Core.Iso.Inc.removed))
-        (fun () ->
-          Printf.sprintf "%d matches" (List.length (Core.Iso.Inc.matches s)))
-  | Qsim (labels, edges) ->
-      let p = Core.Iso.Pattern.create ~labels ~edges in
-      let s = Core.Sim.Inc.init ~obs:o ~trace copy p in
-      sess
-        (fun ups ->
-          let d = Core.Sim.Inc.apply_batch s ups in
-          Printf.sprintf "pairs +%d/-%d"
-            (List.length d.Core.Sim.Inc.added)
-            (List.length d.Core.Sim.Inc.removed))
-        (fun () ->
-          Printf.sprintf "%d pairs"
-            (List.length (Core.Sim.Batch.pairs (Core.Sim.Inc.relation s))))
 
 let stream_cmd =
   let batches =
@@ -347,79 +234,74 @@ let stream_cmd =
             "Drop clock- and GC-derived series from the snapshots so two \
              runs of the same update sequence emit byte-identical files.")
   in
-  let run path cls bound args batches size ratio seed metrics_out
-      slo_cfg every retain det =
-    match qspec_of ~cls ~bound ~args with
+  let run path q batches size ratio seed metrics_out slo_cfg every retain det
+      =
+    let slo =
+      match slo_cfg with
+      | None -> Ok None
+      | Some p -> (
+          match
+            Obs.Slo.of_config
+              (In_channel.with_open_text p In_channel.input_all)
+          with
+          | Ok rules -> Ok (Some (Obs.Slo.create rules))
+          | Error e -> Error (Printf.sprintf "%s: %s" p e))
+    in
+    match slo with
     | Error e -> `Error (false, e)
-    | Ok spec -> (
-        let slo =
-          match slo_cfg with
-          | None -> Ok None
-          | Some p -> (
-              match
-                Obs.Slo.of_config
-                  (In_channel.with_open_text p In_channel.input_all)
-              with
-              | Ok rules -> Ok (Some (Obs.Slo.create rules))
-              | Error e -> Error (Printf.sprintf "%s: %s" p e))
+    | Ok slo ->
+        let g = load path in
+        let rng = Random.State.make [| seed |] in
+        let tr =
+          if Option.is_some slo || Option.is_some metrics_out then
+            Obs.Tracer.create ()
+          else Obs.Tracer.noop
         in
-        match slo with
-        | Error e -> `Error (false, e)
-        | Ok slo ->
-            let g = load path in
-            let rng = Random.State.make [| seed |] in
-            let tr =
-              if Option.is_some slo || Option.is_some metrics_out then
-                Obs.Tracer.create ()
-              else Obs.Tracer.noop
-            in
-            let o, update, describe = stream_session ~trace:tr g spec in
-            let flight =
-              Option.map
-                (fun dir ->
-                  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-                  let every =
-                    match every with Some n -> n | None -> max 1 size
-                  in
-                  ( Obs.Flight.create ~every ~retain ~deterministic:det ?slo
-                      ~trace:tr ~dir ~obs:o (),
-                    every ))
-                metrics_out
-            in
-            for round = 1 to batches do
-              let ups =
-                Core.Workload.Updates.generate ~rng g ~size ~ratio ()
-              in
-              Core.Digraph.apply_batch g ups (* keep generator in sync *);
-              let summary, t = time (fun () -> update ups) in
-              (match flight with
-              | Some (fr, _) -> List.iter (fun _ -> Obs.Flight.tick fr) ups
-              | None ->
-                  Option.iter
-                    (fun s -> ignore (Obs.Slo.evaluate s ~obs:o ~trace:tr))
-                    slo);
-              Format.printf "round %d: |ΔG|=%d  %s  (%.3fs)@." round
-                (List.length ups) summary t
-            done;
-            Format.printf "final: %s@." (describe ());
-            Option.iter
-              (fun (fr, every) ->
-                (* Capture the final state unless the cadence just did. *)
-                if Obs.Flight.snapshots fr = 0 || Obs.Flight.updates fr mod every <> 0
-                then Obs.Flight.snapshot fr;
-                Format.printf
-                  "metrics: %d snapshot(s) over %d update(s) -> %s@."
-                  (Obs.Flight.snapshots fr) (Obs.Flight.updates fr)
-                  (Obs.Flight.dir fr))
-              flight;
-            Option.iter
-              (fun s ->
-                let tripped = Obs.Slo.tripped s in
-                Format.printf "SLO violations: %d%s@." (Obs.Slo.violations s)
-                  (if tripped = [] then ""
-                   else " (tripped: " ^ String.concat ", " tripped ^ ")"))
-              slo;
-            `Ok ())
+        let engine = A.make ~trace:tr q g in
+        let o = engine.Oracle.obs and items = (A.names q).A.items in
+        let flight =
+          Option.map
+            (fun dir ->
+              if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+              let every = match every with Some n -> n | None -> max 1 size in
+              ( Obs.Flight.create ~every ~retain ~deterministic:det ?slo
+                  ~trace:tr ~dir ~obs:o (),
+                every ))
+            metrics_out
+        in
+        for round = 1 to batches do
+          let ups = Core.Workload.Updates.generate ~rng g ~size ~ratio () in
+          Core.Digraph.apply_batch g ups (* keep generator in sync *);
+          let (added, removed), t =
+            time (fun () -> engine.Oracle.apply_batch ups)
+          in
+          (match flight with
+          | Some (fr, _) -> List.iter (fun _ -> Obs.Flight.tick fr) ups
+          | None ->
+              Option.iter
+                (fun s -> ignore (Obs.Slo.evaluate s ~obs:o ~trace:tr))
+                slo);
+          Format.printf "round %d: |ΔG|=%d  %s +%d/-%d  (%.3fs)@." round
+            (List.length ups) items added removed t
+        done;
+        Format.printf "final: %d %s@." (engine.Oracle.size ()) items;
+        Option.iter
+          (fun (fr, every) ->
+            (* Capture the final state unless the cadence just did. *)
+            if Obs.Flight.snapshots fr = 0 || Obs.Flight.updates fr mod every <> 0
+            then Obs.Flight.snapshot fr;
+            Format.printf "metrics: %d snapshot(s) over %d update(s) -> %s@."
+              (Obs.Flight.snapshots fr) (Obs.Flight.updates fr)
+              (Obs.Flight.dir fr))
+          flight;
+        Option.iter
+          (fun s ->
+            let tripped = Obs.Slo.tripped s in
+            Format.printf "SLO violations: %d%s@." (Obs.Slo.violations s)
+              (if tripped = [] then ""
+               else " (tripped: " ^ String.concat ", " tripped ^ ")"))
+          slo;
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "stream"
@@ -431,9 +313,8 @@ let stream_cmd =
           each snapshot and report violations.")
     Term.(
       ret
-        (const run $ graph_arg $ cls_arg $ bound_arg $ qargs_arg
-       $ batches $ size $ ratio $ seed_arg $ metrics_out $ slo_arg $ every_arg
-       $ retain_arg $ det_arg))
+        (const run $ graph_arg $ query_arg $ batches $ size $ ratio $ seed_arg
+       $ metrics_out $ slo_arg $ every_arg $ retain_arg $ det_arg))
 
 (* `incgraph top` — one-shot ASCII dashboard over a flight-recorder
    directory: latest exposition, counter deltas against the previous ring
@@ -658,48 +539,6 @@ let size_arg =
     value & opt int 100
     & info [ "size" ] ~doc:"Unit updates per batch." ~docv:"N")
 
-(* Build an incremental engine over a copy of [g] with a live metrics
-   registry (and, optionally, a live tracer). Returns the registry, the
-   batch-apply entry point, the batch counterpart (for speedups), and the
-   two series names. *)
-let session_with_obs ?(trace = Obs.Tracer.noop) g spec =
-  let o = Obs.create () in
-  let copy = Core.Digraph.copy g in
-  match spec with
-  | Qkws q ->
-      let s = Core.Kws.Inc.init ~obs:o ~trace copy q in
-      ( o,
-        (fun ups -> ignore (Core.Kws.Inc.apply_batch s ups)),
-        (fun g' -> ignore (Core.Kws.Batch.run g' q)),
-        "IncKWS", "BLINKS" )
-  | Qrpq q ->
-      let a = Core.Nfa.compile (Core.Digraph.interner g) q in
-      let s = Core.Rpq.Inc.init ~obs:o ~trace copy a in
-      ( o,
-        (fun ups -> ignore (Core.Rpq.Inc.apply_batch s ups)),
-        (fun g' -> ignore (Core.Rpq.Batch.run g' a)),
-        "IncRPQ", "RPQNFA" )
-  | Qscc ->
-      let s = Core.Scc.Inc.init ~obs:o ~trace copy in
-      ( o,
-        (fun ups -> ignore (Core.Scc.Inc.apply_batch s ups)),
-        (fun g' -> ignore (Core.Scc.Tarjan.scc g')),
-        "IncSCC", "Tarjan" )
-  | Qiso (labels, edges) ->
-      let p = Core.Iso.Pattern.create ~labels ~edges in
-      let s = Core.Iso.Inc.init ~obs:o ~trace copy p in
-      ( o,
-        (fun ups -> ignore (Core.Iso.Inc.apply_batch s ups)),
-        (fun g' -> ignore (Core.Iso.Vf2.find_all g' p)),
-        "IncISO", "VF2" )
-  | Qsim (labels, edges) ->
-      let p = Core.Iso.Pattern.create ~labels ~edges in
-      let s = Core.Sim.Inc.init ~obs:o ~trace copy p in
-      ( o,
-        (fun ups -> ignore (Core.Sim.Inc.apply_batch s ups)),
-        (fun g' -> ignore (Core.Sim.Batch.run p g')),
-        "IncSim", "SimFix" )
-
 let bench_cmd =
   let reps =
     Arg.(
@@ -713,84 +552,81 @@ let bench_cmd =
       & info [ "o"; "out" ] ~doc:"Write the json report to $(docv)."
           ~docv:"FILE")
   in
-  let run path cls bound args size reps seed json out =
-    match qspec_of ~cls ~bound ~args with
-    | Error e -> `Error (false, e)
-    | Ok spec ->
-        let g = Core.Io.load path in
-        let rng = Random.State.make [| seed |] in
-        let report =
-          Obs.Report.create ~tool:"incgraph-cli"
-            ~config:
-              [
-                ("graph", Obs.Json.Str path);
-                ("backend",
-                  Obs.Json.Str
-                    (Core.Digraph.backend_name (Core.Digraph.backend g)));
-                ("class", Obs.Json.Str cls);
-                ("size", Obs.Json.Int size);
-                ("reps", Obs.Json.Int reps);
-                ("seed", Obs.Json.Int seed);
-              ]
-            ()
-        in
-        let e =
-          Obs.Report.experiment report ~id:("bench-" ^ cls)
-            ~title:(Printf.sprintf "%s: incremental vs batch, |ΔG| = %d" cls size)
-        in
-        for rep = 1 to reps do
-          let base = Core.Digraph.copy g in
-          let ups =
-            Core.Workload.Updates.generate_replay ~rng base ~size ()
-          in
-          let o, apply, batch_run, inc_name, batch_name =
-            session_with_obs base spec
-          in
-          let (), ti = time (fun () -> apply ups) in
-          let gb = Core.Digraph.copy base in
-          let (), tb =
-            time (fun () ->
-                Core.Digraph.apply_batch gb ups;
-                batch_run gb)
-          in
-          let ctrs = Obs.counters o in
-          let hists = Obs.histograms o in
-          let gc =
-            List.filter_map
-              (fun (k, h) ->
-                if String.length k > 3 && String.sub k 0 3 = "gc_" then
-                  Some
-                    ( String.sub k 3 (String.length k - 3),
-                      Obs.Histogram.sum h )
-                else None)
-              hists
-          in
-          Obs.Report.add_point e
-            ~x:(string_of_int rep)
-            ~timings:[ (inc_name, ti); (batch_name, tb) ]
-            ~counters:[ (inc_name, ctrs) ]
-            ~speedup:[ (inc_name, tb /. Float.max 1e-9 ti) ]
-            ~histograms:(if hists = [] then [] else [ (inc_name, hists) ])
-            ~gc:(if gc = [] then [] else [ (inc_name, gc) ])
-            ();
-          if not json then
-            Format.printf
-              "rep %d: %s %.4fs  %s %.4fs  speedup %.1fx  |AFF|=%d  \
-               |CHANGED|=%d@."
-              rep inc_name ti batch_name tb
-              (tb /. Float.max 1e-9 ti)
-              (Option.value ~default:0 (List.assoc_opt Obs.K.aff ctrs))
-              (Option.value ~default:0 (List.assoc_opt Obs.K.changed ctrs))
-        done;
-        (match out with
-        | Some path ->
-            Obs.Report.write ~path report;
-            if not json then Format.printf "report written to %s@." path
-        | None ->
-            if json then
-              print_endline
-                (Obs.Json.to_string ~indent:true (Obs.Report.to_json report)));
-        `Ok ()
+  let run path q size reps seed json out =
+    let cls, _, _ = A.to_args q in
+    let { A.engine = inc_name; baseline = batch_name; _ } = A.names q in
+    let g = Core.Io.load path in
+    let rng = Random.State.make [| seed |] in
+    let report =
+      Obs.Report.create ~tool:"incgraph-cli"
+        ~config:
+          [
+            ("graph", Obs.Json.Str path);
+            ("backend",
+              Obs.Json.Str
+                (Core.Digraph.backend_name (Core.Digraph.backend g)));
+            ("class", Obs.Json.Str cls);
+            ("size", Obs.Json.Int size);
+            ("reps", Obs.Json.Int reps);
+            ("seed", Obs.Json.Int seed);
+          ]
+        ()
+    in
+    let e =
+      Obs.Report.experiment report ~id:("bench-" ^ cls)
+        ~title:(Printf.sprintf "%s: incremental vs batch, |ΔG| = %d" cls size)
+    in
+    for rep = 1 to reps do
+      let base = Core.Digraph.copy g in
+      let ups =
+        Core.Workload.Updates.generate_replay ~rng base ~size ()
+      in
+      let engine = A.make ~trace:Obs.Tracer.noop q base in
+      let _, ti = time (fun () -> engine.Oracle.apply_batch ups) in
+      let gb = Core.Digraph.copy base in
+      let batch = A.batch q base in
+      let _, tb =
+        time (fun () ->
+            Core.Digraph.apply_batch gb ups;
+            batch gb)
+      in
+      let ctrs = Obs.counters engine.Oracle.obs in
+      let hists = Obs.histograms engine.Oracle.obs in
+      let gc =
+        List.filter_map
+          (fun (k, h) ->
+            if String.length k > 3 && String.sub k 0 3 = "gc_" then
+              Some
+                ( String.sub k 3 (String.length k - 3),
+                  Obs.Histogram.sum h )
+            else None)
+          hists
+      in
+      Obs.Report.add_point e
+        ~x:(string_of_int rep)
+        ~timings:[ (inc_name, ti); (batch_name, tb) ]
+        ~counters:[ (inc_name, ctrs) ]
+        ~speedup:[ (inc_name, tb /. Float.max 1e-9 ti) ]
+        ~histograms:(if hists = [] then [] else [ (inc_name, hists) ])
+        ~gc:(if gc = [] then [] else [ (inc_name, gc) ])
+        ();
+      if not json then
+        Format.printf
+          "rep %d: %s %.4fs  %s %.4fs  speedup %.1fx  |AFF|=%d  \
+           |CHANGED|=%d@."
+          rep inc_name ti batch_name tb
+          (tb /. Float.max 1e-9 ti)
+          (Option.value ~default:0 (List.assoc_opt Obs.K.aff ctrs))
+          (Option.value ~default:0 (List.assoc_opt Obs.K.changed ctrs))
+    done;
+    match out with
+    | Some path ->
+        Obs.Report.write ~path report;
+        if not json then Format.printf "report written to %s@." path
+    | None ->
+        if json then
+          print_endline
+            (Obs.Json.to_string ~indent:true (Obs.Report.to_json report))
   in
   Cmd.v
     (Cmd.info "bench"
@@ -801,9 +637,8 @@ let bench_cmd =
           counters). With $(b,--json), emits a schema-versioned BENCH \
           report.")
     Term.(
-      ret
-        (const run $ graph_arg $ cls_arg $ bound_arg $ qargs_arg
-       $ size_arg $ reps $ seed_arg $ json_flag $ out))
+      const run $ graph_arg $ query_arg $ size_arg $ reps $ seed_arg
+      $ json_flag $ out)
 
 let stats_cmd =
   let batches =
@@ -827,44 +662,41 @@ let stats_cmd =
             "Dump the registry in OpenMetrics / Prometheus text exposition \
              format instead of text or json.")
   in
-  let run path cls bound args batches size seed json histo prom =
-    match qspec_of ~cls ~bound ~args with
-    | Error e -> `Error (false, e)
-    | Ok spec ->
-        let g = Core.Io.load path in
-        let rng = Random.State.make [| seed |] in
-        let o, apply, _, inc_name, _ = session_with_obs g spec in
-        for _ = 1 to batches do
-          let ups = Core.Workload.Updates.generate ~rng g ~size () in
-          Core.Digraph.apply_batch g ups (* keep generator in sync *);
-          apply ups
-        done;
-        if prom then print_string (Obs.Openmetrics.render o)
-        else if json then
-          print_endline (Obs.Json.to_string ~indent:true (Obs.to_json o))
-        else begin
-          Format.printf "%s after %d batches of %d unit updates:@." inc_name
-            batches size;
-          List.iter
-            (fun (k, v) -> Format.printf "  %-16s %10d@." k v)
-            (Obs.counters o);
-          List.iter
-            (fun (k, (n, s)) ->
-              Format.printf "  span %-11s %10d calls %9.4fs@." k n s)
-            (Obs.spans o);
-          let aff = Obs.counter o Obs.K.aff in
-          let changed = Obs.counter o Obs.K.changed in
-          if changed > 0 then
-            Format.printf "  |AFF| / |CHANGED| = %.2f@."
-              (float_of_int aff /. float_of_int changed);
-          if histo then
-            List.iter
-              (fun (name, h) ->
-                Format.printf "@.  histogram %s:@.    @[<v>%a@]@." name
-                  Obs.Histogram.pp h)
-              (Obs.histograms o)
-        end;
-        `Ok ()
+  let run path q batches size seed json histo prom =
+    let g = Core.Io.load path in
+    let rng = Random.State.make [| seed |] in
+    let engine = A.make ~trace:Obs.Tracer.noop q g in
+    let o = engine.Oracle.obs and inc_name = (A.names q).A.engine in
+    for _ = 1 to batches do
+      let ups = Core.Workload.Updates.generate ~rng g ~size () in
+      Core.Digraph.apply_batch g ups (* keep generator in sync *);
+      ignore (engine.Oracle.apply_batch ups)
+    done;
+    if prom then print_string (Obs.Openmetrics.render o)
+    else if json then
+      print_endline (Obs.Json.to_string ~indent:true (Obs.to_json o))
+    else begin
+      Format.printf "%s after %d batches of %d unit updates:@." inc_name
+        batches size;
+      List.iter
+        (fun (k, v) -> Format.printf "  %-16s %10d@." k v)
+        (Obs.counters o);
+      List.iter
+        (fun (k, (n, s)) ->
+          Format.printf "  span %-11s %10d calls %9.4fs@." k n s)
+        (Obs.spans o);
+      let aff = Obs.counter o Obs.K.aff in
+      let changed = Obs.counter o Obs.K.changed in
+      if changed > 0 then
+        Format.printf "  |AFF| / |CHANGED| = %.2f@."
+          (float_of_int aff /. float_of_int changed);
+      if histo then
+        List.iter
+          (fun (name, h) ->
+            Format.printf "@.  histogram %s:@.    @[<v>%a@]@." name
+              Obs.Histogram.pp h)
+          (Obs.histograms o)
+    end
   in
   Cmd.v
     (Cmd.info "stats"
@@ -875,9 +707,8 @@ let stats_cmd =
           per-batch latency and GC histograms, as text, json or — with \
           $(b,--prom) — OpenMetrics text exposition.")
     Term.(
-      ret
-        (const run $ graph_arg $ cls_arg $ bound_arg $ qargs_arg
-       $ batches $ size_arg $ seed_arg $ json_flag $ histo $ prom))
+      const run $ graph_arg $ query_arg $ batches $ size_arg $ seed_arg
+      $ json_flag $ histo $ prom)
 
 (* ---- trace / explain ------------------------------------------------------- *)
 
@@ -904,28 +735,25 @@ let trace_cmd =
           ~doc:"Ring-buffer capacity; older events beyond it are dropped."
           ~docv:"N")
   in
-  let run path cls bound args batches size seed out cap =
-    match qspec_of ~cls ~bound ~args with
-    | Error e -> `Error (false, e)
-    | Ok spec ->
-        let g = Core.Io.load path in
-        let rng = Random.State.make [| seed |] in
-        let tr = Tracer.create ~capacity:cap () in
-        let _, apply, _, inc_name, _ = session_with_obs ~trace:tr g spec in
-        for _ = 1 to batches do
-          let ups = Core.Workload.Updates.generate ~rng g ~size () in
-          Core.Digraph.apply_batch g ups (* keep generator in sync *);
-          apply ups
-        done;
-        let snap = Tracer.snapshot tr in
-        Trace_export.write_chrome ~path:out ~name:inc_name snap;
-        Format.printf "%s: %d event(s)%s -> %s@." inc_name
-          (List.length snap.Tracer.entries)
-          (if snap.Tracer.drops > 0 then
-             Printf.sprintf " (ring buffer dropped %d older)" snap.Tracer.drops
-           else "")
-          out;
-        `Ok ()
+  let run path q batches size seed out cap =
+    let g = Core.Io.load path in
+    let rng = Random.State.make [| seed |] in
+    let tr = Tracer.create ~capacity:cap () in
+    let engine = A.make ~trace:tr q g in
+    let inc_name = (A.names q).A.engine in
+    for _ = 1 to batches do
+      let ups = Core.Workload.Updates.generate ~rng g ~size () in
+      Core.Digraph.apply_batch g ups (* keep generator in sync *);
+      ignore (engine.Oracle.apply_batch ups)
+    done;
+    let snap = Tracer.snapshot tr in
+    Trace_export.write_chrome ~path:out ~name:inc_name snap;
+    Format.printf "%s: %d event(s)%s -> %s@." inc_name
+      (List.length snap.Tracer.entries)
+      (if snap.Tracer.drops > 0 then
+         Printf.sprintf " (ring buffer dropped %d older)" snap.Tracer.drops
+       else "")
+      out
   in
   Cmd.v
     (Cmd.info "trace"
@@ -937,9 +765,8 @@ let trace_cmd =
           Chrome trace-event file loadable in Perfetto (ui.perfetto.dev) or \
           chrome://tracing. Deterministic for a fixed graph and seed.")
     Term.(
-      ret
-        (const run $ graph_arg $ cls_arg $ bound_arg $ qargs_arg
-       $ batches_arg $ size_arg $ seed_arg $ out $ cap))
+      const run $ graph_arg $ query_arg $ batches_arg $ size_arg $ seed_arg
+      $ out $ cap)
 
 (* Worked explanation of the Figure 9 gadget: Δ1 is output-silent yet the
    trace shows Ω(cycle) settling work; Δ2 flips the whole answer on. *)
@@ -1007,22 +834,21 @@ let explain_cmd =
             `Error
               (false, "need either --gadget N or a graph (-g) and a CLASS")
         | Some path, Some cls -> (
-            match qspec_of ~cls ~bound ~args with
+            match A.of_args ~cls ~bound ~args with
             | Error e -> `Error (false, e)
-            | Ok spec ->
+            | Ok q ->
                 let g = Core.Io.load path in
                 let rng = Random.State.make [| seed |] in
                 let tr = Tracer.create () in
-                let _, apply, _, inc_name, _ =
-                  session_with_obs ~trace:tr g spec
-                in
+                let engine = A.make ~trace:tr q g in
+                let inc_name = (A.names q).A.engine in
                 for round = 1 to batches do
                   let ups =
                     Core.Workload.Updates.generate ~rng g ~size ()
                   in
                   Core.Digraph.apply_batch g ups (* keep generator in sync *);
                   Tracer.clear tr;
-                  apply ups;
+                  ignore (engine.Oracle.apply_batch ups);
                   Format.printf "@.== %s batch %d (|ΔG| = %d) ==@.%a@."
                     inc_name round (List.length ups)
                     (Trace_export.pp_explain ~limit)
@@ -1117,9 +943,9 @@ let compare_cmd =
 (* ---- lint ----------------------------------------------------------------- *)
 
 let lint_cmd =
-  let module L = Core.Lint in
-  let module S = Core.Lint_summary in
-  let module I = Core.Lint_interproc in
+  let module L = Ig_lint.Lint in
+  let module S = Ig_lint.Summary in
+  let module I = Ig_lint.Interproc in
   let root_arg =
     Arg.(
       value & pos 0 dir "."
@@ -1373,7 +1199,7 @@ let lint_cmd =
 (* ---- fuzz ----------------------------------------------------------------- *)
 
 let fuzz_cmd =
-  let module C = Core.Check in
+  let module C = Ig_check in
   let algo =
     Arg.(
       value & opt string "all"
@@ -1440,7 +1266,7 @@ let fuzz_cmd =
                 Format.printf " FAILED@.%a@." C.Harness.pp_failure f;
                 let gpath, upath, tpath, jpath =
                   C.Harness.save_failure ~dir:out_dir ~base:s.C.Scenarios.base
-                    ~qspec:s.C.Scenarios.qspec f
+                    ~query:s.C.Scenarios.query f
                 in
                 Format.printf "artifacts: %s, %s%s%s@." gpath upath
                   (match tpath with
@@ -1470,28 +1296,6 @@ let fuzz_cmd =
 module J = Core.Journal
 
 let jdigest = J.Log.digest_hex
-
-let oracle_of_qspec g = function
-  | Qkws q -> Core.Check.Adapters.kws g q
-  | Qrpq q -> Core.Check.Adapters.rpq g q
-  | Qscc -> Core.Check.Adapters.scc g
-  | Qiso (labels, edges) ->
-      Core.Check.Adapters.iso g (Core.Iso.Pattern.create ~labels ~edges)
-  | Qsim (labels, edges) ->
-      Core.Check.Adapters.sim g (Core.Iso.Pattern.create ~labels ~edges)
-
-(* A store client over a packed differential oracle: journal ops re-enter
-   the engine as unit updates; snapshots carry the engine's canonical
-   answer digest and SNAPSHOTTABLE certificate dump. *)
-let client_of_oracle inst =
-  let module O = Core.Check.Oracle in
-  {
-    J.Store.apply =
-      (fun ops -> List.iter (O.apply inst) (J.Log.updates_of_ops ops));
-    graph = (fun () -> O.graph inst);
-    answer_digest = (fun () -> jdigest (O.answer inst));
-    certs = (fun () -> O.cert_snapshot inst);
-  }
 
 let dir_arg =
   Arg.(
@@ -1528,16 +1332,15 @@ let attach_store ?as_of ?(from_scratch = false) ~dir () =
       let base = J.Snapshot.graph plan.J.Store.snapshot in
       let h = plan.J.Store.header in
       let inst =
-        match
-          qspec_of ~cls:h.J.Record.cls ~bound:h.J.Record.bound
-            ~args:h.J.Record.qargs
-        with
-        | Ok spec -> Some (oracle_of_qspec base spec)
-        | Error _ -> None
+        Result.to_option
+          (Result.map
+             (fun q -> A.make q base)
+             (A.of_args ~cls:h.J.Record.cls ~bound:h.J.Record.bound
+                ~args:h.J.Record.qargs))
       in
       let client =
         match inst with
-        | Some i -> client_of_oracle i
+        | Some i -> A.client i
         | None -> J.Store.graph_client base
       in
       (match J.Store.attach ~dir ~plan ~client () with
@@ -1602,13 +1405,18 @@ let journal_cmd =
         | Ok () -> (
             match update_of_spec spec with
             | Error e -> Error e
-            | Ok u ->
-                (match J.Store.do_batch store [ u ] with
-                | None -> Format.printf "%s: no-op, not journaled@." spec
+            | Ok u -> (
+                let tip = J.Store.tip store in
+                match J.Store.do_batch store [ u ] with
+                | exception Invalid_argument e when J.Store.tip store = tip ->
+                    Error (Printf.sprintf "%s: %s" spec e)
+                | None ->
+                    Format.printf "%s: no-op, not journaled@." spec;
+                    Ok ()
                 | Some b ->
                     Format.printf "%s: seq=%d graph=%s@." spec b.J.Record.seq
-                      (short (J.Store.digest store)));
-                Ok ()))
+                      (short (J.Store.digest store));
+                    Ok ())))
       (Ok ()) specs
   in
   let run dir init graph_file cls bound qargs specs repair chop =
@@ -1617,22 +1425,14 @@ let journal_cmd =
       | None, _ | _, None ->
           `Error (false, "--init needs -g FILE and a CLASS argument")
       | Some file, Some cls -> (
-          match qspec_of ~cls ~bound ~args:qargs with
+          match A.of_args ~cls ~bound ~args:qargs with
           | Error e -> `Error (false, e)
-          | Ok spec ->
+          | Ok q ->
               let g = Core.Io.load file in
-              let inst = oracle_of_qspec g spec in
-              let header =
-                {
-                  J.Record.version = J.Record.format_version;
-                  cls;
-                  bound;
-                  qargs;
-                  base_digest = J.Log.graph_digest g;
-                }
-              in
+              let inst = A.make q g in
+              let header = { (A.header q g) with J.Record.bound; qargs } in
               let store =
-                J.Store.init ~dir ~header ~client:(client_of_oracle inst) ()
+                J.Store.init ~dir ~header ~client:(A.client inst) ()
               in
               Format.printf "initialized %s: class %s, graph %s@." dir cls
                 (short (J.Store.digest store));
@@ -1756,12 +1556,12 @@ let replay_cmd =
               (`Error
                  (false, "--check: header names no buildable query class"))
         | true, Some i -> (
-            match Core.Check.Oracle.check i with
+            match Oracle.check i with
             | () ->
                 Format.printf "oracle agrees: answer digest %s@."
-                  (jdigest (Core.Check.Oracle.answer i));
+                  (jdigest (i.Oracle.answer ()));
                 finish (`Ok ())
-            | exception Core.Check.Oracle.Check_failed msg ->
+            | exception Oracle.Check_failed msg ->
                 finish (`Error (false, "oracle check failed: " ^ msg))))
   in
   Cmd.v
@@ -1792,9 +1592,9 @@ let undo_cmd =
               (short (J.Store.digest store));
             (match inst with
             | Some i -> (
-                match Core.Check.Oracle.check i with
+                match Oracle.check i with
                 | () -> Format.printf "oracle agrees after undo@."
-                | exception Core.Check.Oracle.Check_failed msg ->
+                | exception Oracle.Check_failed msg ->
                     Format.printf "WARNING: oracle disagrees: %s@." msg)
             | None -> ());
             J.Store.close store;
@@ -1822,7 +1622,7 @@ let snapshot_cmd =
     (Cmd.info "snapshot"
        ~doc:
          "Write a certificate snapshot (graph, canonical answer digest and \
-          the engine's SNAPSHOTTABLE certificate dump) at the current tip, \
+          the engine's certificate dump) at the current tip, \
           bounding future recovery replay.")
     Term.(ret (const run $ dir_arg))
 

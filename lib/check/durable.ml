@@ -6,29 +6,6 @@ module Store = Ig_journal.Store
 
 let digest_hex = Journal.digest_hex
 
-(* Wrap a packed oracle as a store client: effective ops re-enter the
-   engine as unit updates, so the journal sees exactly what the engine
-   applied. *)
-let client_of inst =
-  {
-    Store.apply =
-      (fun ops ->
-        List.iter (Oracle.apply inst) (Journal.updates_of_ops ops));
-    graph = (fun () -> Oracle.graph inst);
-    answer_digest = (fun () -> digest_hex (Oracle.answer inst));
-    certs = (fun () -> Oracle.cert_snapshot inst);
-  }
-
-let header_of (s : Scenarios.t) =
-  let cls, bound, qargs = s.Scenarios.qspec in
-  {
-    Record.version = Record.format_version;
-    cls;
-    bound;
-    qargs;
-    base_digest = Journal.graph_digest s.Scenarios.base;
-  }
-
 (* Only the files the store itself writes; anything else in [dir] is the
    caller's business. *)
 let clean_dir dir =
@@ -42,13 +19,13 @@ let clean_dir dir =
       (Sys.readdir dir)
 [@@lint.allow "D3"]
 
-let trace_digest inst =
-  let tr = Oracle.trace inst in
+let trace_digest (inst : Oracle.t) =
+  let tr = inst.Oracle.trace in
   if not (Tracer.enabled tr) then "-"
   else digest_hex (Ig_obs.Trace_export.explain_to_string (Tracer.snapshot tr))
 
-let clear_trace inst =
-  let tr = Oracle.trace inst in
+let clear_trace (inst : Oracle.t) =
+  let tr = inst.Oracle.trace in
   if Tracer.enabled tr then Tracer.clear tr
 
 let update_str = function
@@ -63,13 +40,16 @@ let run ~scenario ~dir ~steps ~seed ?(emit = fun _ -> ()) () =
   let rng = Random.State.make [| seed; 0xd0ab1e |] in
   clean_dir dir;
   let inst = ref (scenario.Scenarios.make ()) in
+  let header =
+    Adapters.header scenario.Scenarios.query scenario.Scenarios.base
+  in
   let store =
-    ref (Store.init ~dir ~header:(header_of scenario) ~client:(client_of !inst) ())
+    ref (Store.init ~dir ~header ~client:(Adapters.client !inst) ())
   in
   let stream =
     ref
       (Stream.create ~rng ~focus:scenario.Scenarios.focus
-         (Oracle.graph !inst))
+         !inst.Oracle.graph)
   in
   let check ~step ~ctx =
     match Oracle.check !inst with
@@ -81,7 +61,7 @@ let run ~scenario ~dir ~steps ~seed ?(emit = fun _ -> ()) () =
      rebuilt from its canonical text: a fingerprint lane that drifted from
      the contents would show here. *)
   let cross_check ~step =
-    let text = Ig_graph.Io.to_string (Oracle.graph !inst) in
+    let text = Ig_graph.Io.to_string !inst.Oracle.graph in
     let reparsed = Journal.graph_digest (Ig_graph.Io.of_string text) in
     let live = Store.digest !store in
     if not (String.equal live reparsed) then
@@ -91,25 +71,27 @@ let run ~scenario ~dir ~steps ~seed ?(emit = fun _ -> ()) () =
   let state_str () =
     Printf.sprintf "tip=%d graph=%s answer=%s" (Store.tip !store)
       (Store.digest !store)
-      (digest_hex (Oracle.answer !inst))
+      (digest_hex (!inst.Oracle.answer ()))
   in
   (* Drop the live engine, rebuild from scratch and replay the whole
-     committed journal through it — the crash-recovery path. *)
-  let recover ~step ~ctx =
+     committed journal through it — the crash-recovery path. [tear]
+     damages the closed journal first; [validate] vets the plan. *)
+  let recover ?(tear = ignore) ?(validate = ignore) ~step ~ctx () =
     Store.close !store;
+    tear ();
     let fresh = scenario.Scenarios.make () in
-    let client = client_of fresh in
     match Store.plan ~from_scratch:true ~dir () with
     | Error e -> failf "step %d (%s): recovery plan: %s" step ctx e
     | Ok plan -> (
-        match Store.attach ~dir ~plan ~client () with
+        validate plan;
+        match Store.attach ~dir ~plan ~client:(Adapters.client fresh) () with
         | Error e -> failf "step %d (%s): recovery attach: %s" step ctx e
         | Ok st ->
             inst := fresh;
             store := st;
             stream :=
               Stream.create ~rng ~focus:scenario.Scenarios.focus
-                (Oracle.graph fresh);
+                fresh.Oracle.graph;
             plan)
   in
   let do_one ~step =
@@ -125,7 +107,7 @@ let run ~scenario ~dir ~steps ~seed ?(emit = fun _ -> ()) () =
   in
   let do_undo_pair ~step =
     let pre_g = Store.digest !store in
-    let pre_a = digest_hex (Oracle.answer !inst) in
+    let pre_a = digest_hex (!inst.Oracle.answer ()) in
     let u = Stream.next !stream in
     clear_trace !inst;
     match Store.do_batch !store [ u ] with
@@ -138,7 +120,7 @@ let run ~scenario ~dir ~steps ~seed ?(emit = fun _ -> ()) () =
         | Error e -> failf "step %d (pair): undo: %s" step e
         | Ok _ ->
             let post_g = Store.digest !store in
-            let post_a = digest_hex (Oracle.answer !inst) in
+            let post_a = digest_hex (!inst.Oracle.answer ()) in
             if not (String.equal pre_g post_g) then
               failf
                 "step %d (pair): undo(do(G)) graph digest %s, pre-do was %s"
@@ -174,7 +156,7 @@ let run ~scenario ~dir ~steps ~seed ?(emit = fun _ -> ()) () =
     emit (Printf.sprintf "step %d snapshot seq=%d" step (Store.tip !store))
   in
   let recover_clean ~step =
-    let plan = recover ~step ~ctx:"clean" in
+    let plan = recover ~step ~ctx:"clean" () in
     check ~step ~ctx:"clean recover";
     emit
       (Printf.sprintf "step %d recover clean replayed=%d %s" step
@@ -190,7 +172,7 @@ let run ~scenario ~dir ~steps ~seed ?(emit = fun _ -> ()) () =
     Store.append_unapplied_for_crash_testing !store [ u ];
     if Store.tip !store = before then begin
       (* Ineffective update: nothing journaled, recover cleanly instead. *)
-      let plan = recover ~step ~ctx:"torn(noop)" in
+      let plan = recover ~step ~ctx:"torn(noop)" () in
       check ~step ~ctx:"torn recover";
       emit
         (Printf.sprintf "step %d recover torn-noop replayed=%d %s" step
@@ -198,35 +180,26 @@ let run ~scenario ~dir ~steps ~seed ?(emit = fun _ -> ()) () =
            (state_str ()))
     end
     else begin
-      Store.close !store;
       (* The framed record is >= 21 bytes, so chopping at most 8 tears
          exactly the unapplied tail record. *)
-      Journal.chop ~path:(Store.journal_path ~dir) (1 + Random.State.int rng 8);
-      let fresh = scenario.Scenarios.make () in
-      let client = client_of fresh in
-      match Store.plan ~from_scratch:true ~dir () with
-      | Error e -> failf "step %d (torn): recovery plan: %s" step e
-      | Ok plan -> (
-          if plan.Store.dropped = 0 then
-            failf "step %d (torn): truncation not detected" step;
-          if plan.Store.tip <> before then
-            failf "step %d (torn): tip %d after tear, expected %d" step
-              plan.Store.tip before;
-          match Store.attach ~dir ~plan ~client () with
-          | Error e -> failf "step %d (torn): recovery attach: %s" step e
-          | Ok st ->
-              inst := fresh;
-              store := st;
-              stream :=
-                Stream.create ~rng ~focus:scenario.Scenarios.focus
-                  (Oracle.graph fresh);
-              check ~step ~ctx:"torn recover";
-              emit
-                (Printf.sprintf
-                   "step %d recover torn dropped=%d replayed=%d %s" step
-                   plan.Store.dropped
-                   (List.length plan.Store.replay)
-                   (state_str ())))
+      let tear () =
+        Journal.chop ~path:(Store.journal_path ~dir)
+          (1 + Random.State.int rng 8)
+      in
+      let validate plan =
+        if plan.Store.dropped = 0 then
+          failf "step %d (torn): truncation not detected" step;
+        if plan.Store.tip <> before then
+          failf "step %d (torn): tip %d after tear, expected %d" step
+            plan.Store.tip before
+      in
+      let plan = recover ~tear ~validate ~step ~ctx:"torn" () in
+      check ~step ~ctx:"torn recover";
+      emit
+        (Printf.sprintf "step %d recover torn dropped=%d replayed=%d %s" step
+           plan.Store.dropped
+           (List.length plan.Store.replay)
+           (state_str ()))
     end
   in
   match

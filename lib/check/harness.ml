@@ -15,10 +15,10 @@ let replay_fails ~make stream =
   match
     let inst = make () in
     Oracle.check inst;
-    let prev = ref (Ig_obs.Obs.counters (Oracle.obs inst)) in
+    let prev = ref (Ig_obs.Obs.counters inst.Oracle.obs) in
     List.iter
       (fun u ->
-        Oracle.apply inst u;
+        inst.Oracle.apply u;
         Oracle.check inst;
         prev := Oracle.check_metrics ~prev:!prev inst)
       stream
@@ -41,14 +41,14 @@ let capture_trace ~make stream =
   | None -> None
   | Some (init, last) ->
       let inst = make () in
-      let tr = Oracle.trace inst in
+      let tr = inst.Oracle.trace in
       if not (Tracer.enabled tr) then None
       else begin
         (* The replay is expected to blow up — that is what it reproduces. *)
-        (try List.iter (fun u -> Oracle.apply inst u) init with _ -> ());
+        (try List.iter inst.Oracle.apply init with _ -> ());
         Tracer.clear tr;
         (try
-           Oracle.apply inst last;
+           inst.Oracle.apply last;
            Oracle.check inst
          with _ -> ());
         Some (Tracer.snapshot tr)
@@ -56,7 +56,7 @@ let capture_trace ~make stream =
 
 let run ~make ?(focus = []) ~steps ~seed () =
   let inst = make () in
-  let algo = Oracle.name inst in
+  let algo = inst.Oracle.name in
   let fail step reason stream =
     (* The recorded prefix must fail on a fresh replay before ddmin can
        trust its verdicts; a non-reproducible failure (which a deterministic
@@ -70,16 +70,16 @@ let run ~make ?(focus = []) ~steps ~seed () =
   | exception Oracle.Check_failed msg -> fail 0 msg []
   | () ->
       let rng = Random.State.make [| seed; 0xfa11 |] in
-      let stream = Stream.create ~rng ~focus (Oracle.graph inst) in
+      let stream = Stream.create ~rng ~focus inst.Oracle.graph in
       let applied = ref [] in
-      let prev = ref (Ig_obs.Obs.counters (Oracle.obs inst)) in
+      let prev = ref (Ig_obs.Obs.counters inst.Oracle.obs) in
       let rec go i =
         if i > steps then Ok steps
         else begin
           let u = Stream.next stream in
           applied := u :: !applied;
           match
-            Oracle.apply inst u;
+            inst.Oracle.apply u;
             Oracle.check inst;
             prev := Oracle.check_metrics ~prev:!prev inst
           with
@@ -129,25 +129,16 @@ let pp_failure ppf f =
    the base graph plus one Do batch per update, so the failure replays
    through `incgraph replay` with the same torn-tail/digest checking as
    any production journal. *)
-let save_journal ~dir ~stem ~base ~qspec f =
+let save_journal ~dir ~stem ~base ~query f =
   let jdir = Filename.concat dir (stem ^ ".journal") in
-  let cls, bound, qargs = qspec in
-  let header =
-    {
-      Ig_journal.Record.version = Ig_journal.Record.format_version;
-      cls;
-      bound;
-      qargs;
-      base_digest = Ig_journal.Journal.graph_digest base;
-    }
-  in
+  let header = Adapters.header query base in
   let client = Ig_journal.Store.graph_client (Digraph.copy base) in
   let store = Ig_journal.Store.init ~dir:jdir ~header ~client () in
   List.iter (fun u -> ignore (Ig_journal.Store.do_batch store [ u ])) f.shrunk;
   Ig_journal.Store.close store;
   jdir
 
-let save_failure ~dir ~base ?qspec f =
+let save_failure ~dir ~base ?query f =
   let stem = Printf.sprintf "fuzz-%s-seed%d" f.algo f.seed in
   let gpath = Filename.concat dir (stem ^ ".graph") in
   let upath = Filename.concat dir (stem ^ ".updates") in
@@ -176,6 +167,6 @@ let save_failure ~dir ~base ?qspec f =
         Some p
   in
   let jpath =
-    Option.map (fun qspec -> save_journal ~dir ~stem ~base ~qspec f) qspec
+    Option.map (fun query -> save_journal ~dir ~stem ~base ~query f) query
   in
   (gpath, upath, tpath, jpath)

@@ -23,7 +23,7 @@ type failure = {
 }
 
 val run :
-  make:(unit -> Oracle.packed) ->
+  make:(unit -> Oracle.t) ->
   ?focus:(Ig_graph.Digraph.node * Ig_graph.Digraph.node) list ->
   steps:int ->
   seed:int ->
@@ -36,7 +36,7 @@ val run :
     of the base graph (including any deliberate corruption the caller
     injects for mutation testing). Returns [Ok steps] on a clean run. *)
 
-val replay_fails : make:(unit -> Oracle.packed) -> Ig_graph.Digraph.update list -> bool
+val replay_fails : make:(unit -> Oracle.t) -> Ig_graph.Digraph.update list -> bool
 (** Replay a concrete stream on a fresh oracle with per-step checks; [true]
     iff some check fails or the engine crashes. (The predicate handed to
     {!Shrink.ddmin}; exposed for tests.) *)
@@ -50,7 +50,7 @@ val pp_failure : Format.formatter -> failure -> unit
 val save_failure :
   dir:string ->
   base:Ig_graph.Digraph.t ->
-  ?qspec:string * int * string list ->
+  ?query:Adapters.query ->
   failure ->
   string * string * string option * string option
 (** Persist reproduction artifacts: [fuzz-<algo>-seed<seed>.graph] (the base
@@ -58,8 +58,8 @@ val save_failure :
     [fuzz-<algo>-seed<seed>.updates] (the shrunk stream, one [+ u v] /
     [- u v] line per update, full stream appended as comments), — when
     the failure carries a trace — [fuzz-<algo>-seed<seed>.trace.json] (the
-    failing step's event log as a Chrome trace), and — when [qspec] (the
-    scenario's [(class, bound, args)]) is given —
-    [fuzz-<algo>-seed<seed>.journal/], a journaled session directory
-    (snapshot-0 of the base graph, one batch per shrunk update) replayable
-    with [incgraph replay]. Returns the paths. *)
+    failing step's event log as a Chrome trace), and — when the
+    scenario's [query] is given — [fuzz-<algo>-seed<seed>.journal/], a
+    journaled session directory (snapshot-0 of the base graph, one batch
+    per shrunk update) replayable with [incgraph replay]. Returns the
+    paths. *)

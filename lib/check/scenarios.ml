@@ -6,17 +6,12 @@ type t = {
   name : string;
   base : Digraph.t;
   focus : (Digraph.node * Digraph.node) list;
-  make : unit -> Oracle.packed;
-  qspec : string * int * string list;
+  query : Adapters.query;
+  make : unit -> Oracle.t;
 }
 
-(* A pattern rendered back to CLI/journal-header query arguments: labels
-   in node order, then edges as "u-v". *)
-let pattern_qargs p =
-  List.init (Ig_iso.Pattern.n_nodes p) (Ig_iso.Pattern.label p)
-  @ List.map
-      (fun (u, v) -> Printf.sprintf "%d-%d" u v)
-      (Ig_iso.Pattern.edges p)
+let scenario ?(focus = []) name base query =
+  { name; base; focus; query; make = (fun () -> Adapters.make query base) }
 
 type size = { nodes : int; edges : int; labels : int }
 
@@ -31,35 +26,15 @@ let base_graph ~rng { nodes; edges; labels } =
 
 let kws ~rng ?(size = default_size) () =
   let base = base_graph ~rng size in
-  let q = Q.kws ~rng base ~m:2 ~b:2 in
-  {
-    name = "kws";
-    base;
-    focus = [];
-    make = (fun () -> Adapters.kws base q);
-    qspec = ("kws", q.Ig_kws.Batch.bound, q.Ig_kws.Batch.keywords);
-  }
+  scenario "kws" base (Adapters.Kws (Q.kws ~rng base ~m:2 ~b:2))
 
 let rpq ~rng ?(size = default_size) () =
   let base = base_graph ~rng size in
-  let q = Q.rpq ~rng base ~size:3 in
-  {
-    name = "rpq";
-    base;
-    focus = [];
-    make = (fun () -> Adapters.rpq base q);
-    qspec = ("rpq", 0, [ Ig_nfa.Regex.to_string q ]);
-  }
+  scenario "rpq" base (Adapters.Rpq (Q.rpq ~rng base ~size:3))
 
 let scc ~rng ?(size = default_size) () =
   let base = base_graph ~rng size in
-  {
-    name = "scc";
-    base;
-    focus = [];
-    make = (fun () -> Adapters.scc base);
-    qspec = ("scc", 0, []);
-  }
+  scenario "scc" base Adapters.Scc
 
 (* A pattern for Sim/ISO: sampled from the graph when possible (guaranteeing
    initial matches), else a hand-rolled 2-node chain over graph labels. *)
@@ -72,25 +47,11 @@ let pattern ~rng g ~labels =
 
 let sim ~rng ?(size = default_size) () =
   let base = base_graph ~rng size in
-  let p = pattern ~rng base ~labels:size.labels in
-  {
-    name = "sim";
-    base;
-    focus = [];
-    make = (fun () -> Adapters.sim base p);
-    qspec = ("sim", 0, pattern_qargs p);
-  }
+  scenario "sim" base (Adapters.Sim (pattern ~rng base ~labels:size.labels))
 
 let iso ~rng ?(size = default_size) () =
   let base = base_graph ~rng size in
-  let p = pattern ~rng base ~labels:size.labels in
-  {
-    name = "iso";
-    base;
-    focus = [];
-    make = (fun () -> Adapters.iso base p);
-    qspec = ("iso", 0, pattern_qargs p);
-  }
+  scenario "iso" base (Adapters.Iso (pattern ~rng base ~labels:size.labels))
 
 let edge_of = function
   | Digraph.Insert (u, v) | Digraph.Delete (u, v) -> (u, v)
@@ -108,13 +69,8 @@ let gadget ?(cycle = 4) () =
     | v0 :: v1 :: _, u0 :: u1 :: _ -> [ (v0, v1); (u0, u1) ]
     | _ -> []
   in
-  {
-    name = "gadget";
-    base;
-    focus = d1 :: d2 :: near;
-    make = (fun () -> Adapters.rpq base gd.Ig_theory.Gadget.query);
-    qspec = ("rpq", 0, [ Ig_nfa.Regex.to_string gd.Ig_theory.Gadget.query ]);
-  }
+  scenario ~focus:(d1 :: d2 :: near) "gadget" base
+    (Adapters.Rpq gd.Ig_theory.Gadget.query)
 
 let all ~rng ?(size = default_size) () =
   [

@@ -1,5 +1,6 @@
 (** Ready-made fuzzing scenarios: a base graph, a sampled query, an oracle
-    factory, and the focus edges the stream driver keeps toggling.
+    factory built from the two, and the focus edges the stream driver
+    keeps toggling.
 
     Base graphs and queries come from the {!Ig_workload} generators (the
     paper's Section 6 setup, scaled down so a from-scratch recomputation per
@@ -12,13 +13,13 @@ type t = {
   name : string;
   base : Ig_graph.Digraph.t;  (** pristine base graph — never mutated *)
   focus : (Ig_graph.Digraph.node * Ig_graph.Digraph.node) list;
-  make : unit -> Oracle.packed;
-      (** deterministic factory: a fresh engine over a fresh copy of
-          [base], suitable for {!Harness.run}'s shrinking replays *)
-  qspec : string * int * string list;
-      (** [(class, bound, query args)] in the CLI's positional-argument
-          syntax — what journal headers record so [incgraph replay] can
-          rebuild the same engine. *)
+  query : Adapters.query;
+      (** what journal headers record (via {!Adapters.to_args}) so
+          [incgraph replay] can rebuild the same engine *)
+  make : unit -> Oracle.t;
+      (** [Adapters.make query base]: a deterministic factory of fresh
+          engines over fresh copies of [base], suitable for
+          {!Harness.run}'s shrinking replays *)
 }
 
 type size = { nodes : int; edges : int; labels : int }

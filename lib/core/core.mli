@@ -3,8 +3,8 @@
     The public entry point of the library, reproducing Fan, Hu & Tian,
     {e Incremental Graph Computations: Doable and Undoable} (SIGMOD 2017).
 
-    Four query classes are supported, each with a batch algorithm and an
-    incremental engine carrying the paper's performance guarantee:
+    Five query classes are supported, each with a batch algorithm and an
+    incremental engine:
 
     - {!Kws} — keyword search, {e localizable} (cost in the b-neighborhood
       of the updates);
@@ -12,16 +12,19 @@
     - {!Rpq} — regular path queries, {e bounded relative to} the NFA batch
       algorithm;
     - {!Scc} — strongly connected components, {e bounded relative to}
-      Tarjan's algorithm.
+      Tarjan's algorithm;
+    - {!Sim} — graph simulation, an extension baseline.
+
+    Each engine is built once from a graph and a query (its [Inc.init], or
+    [Inc.create] for RPQ, runs the batch algorithm), then trades update
+    batches for output deltas through [Inc.apply_batch]. The engine owns
+    its graph: hand it a {!Digraph.copy} to keep the original.
 
     {!Theory} holds the machinery of the paper's impossibility results
     (SSRP, Δ-reductions, the Figure 9 gadget), and {!Workload} the
-    generators driving the experimental reproduction.
-
-    Each query class also implements the uniform {!module-type-Session}
-    shape: build a session from a graph and a query, push update batches,
-    read ΔO back. The substrate modules ({!Digraph}, {!Regex}, …) are
-    re-exported so downstream users need only this library. *)
+    generators driving the experimental reproduction. The substrate
+    modules ({!Digraph}, {!Regex}, …) are re-exported so downstream users
+    need only this library. *)
 
 (** {1 Substrate} *)
 
@@ -107,21 +110,6 @@ module Workload : sig
   module Queries = Ig_workload.Queries
 end
 
-module Check : sig
-  module Oracle = Ig_check.Oracle
-  module Adapters = Ig_check.Adapters
-  module Stream = Ig_check.Stream
-  module Shrink = Ig_check.Shrink
-  module Harness = Ig_check.Harness
-  module Scenarios = Ig_check.Scenarios
-  module Durable = Ig_check.Durable
-end
-(** Differential oracle & fuzzing subsystem: every incremental engine
-    cross-checked against its batch counterpart under seeded random update
-    streams, with ddmin shrinking of failures (see [incgraph fuzz]);
-    {!Check.Durable} extends it with journaled do/undo/crash-recover
-    interleavings. *)
-
 (** Durability subsystem: a write-ahead journal of atomic graph ops with a
     checksummed, torn-tail-detecting on-disk format ({!Journal.Record},
     {!Journal.Log}), periodic certificate snapshots bounding recovery
@@ -133,106 +121,4 @@ module Journal : sig
   module Log = Ig_journal.Journal
   module Snapshot = Ig_journal.Snapshot
   module Store = Ig_journal.Store
-end
-
-module Lint = Ig_lint.Lint
-(** Determinism & instrumentation linter: a parse-only static-analysis
-    pass over the repo's own sources enforcing rules D1–D5 (no
-    polymorphic compare in engines, sorted-or-annotated hash iteration,
-    no ambient nondeterminism, instrumented update entry points,
-    interfaces everywhere) plus the cross-module rules D6–D8. See
-    [incgraph lint] and DESIGN.md §8.4, §8.7. *)
-
-module Lint_summary = Ig_lint.Summary
-(** Phase 1 of the cross-module analyzer: per-module effect/state
-    summaries (JSON-serializable, deterministic). *)
-
-module Lint_interproc = Ig_lint.Interproc
-(** Phase 2: interprocedural rules D6–D8 and the module-level effect
-    graph (Graphviz). *)
-
-(** {1 Uniform sessions} *)
-
-(** The capability {!Journal.Store} snapshots rely on: dump the engine's
-    certificate store as named canonical-text sections. Dumps must be
-    byte-identical across process hash seeds (sorted iteration only). *)
-module type SNAPSHOTTABLE = sig
-  type t
-
-  val cert_snapshot : t -> (string * string) list
-end
-
-(** The common shape of the four incremental engines: create once with the
-    batch algorithm, then trade update batches for output deltas. *)
-module type Session = sig
-  type t
-  type query
-  type answer
-  type delta
-
-  val create : Digraph.t -> query -> t
-  (** Runs the batch algorithm once; the session owns the graph. *)
-
-  val update : t -> Digraph.update list -> delta
-  (** Apply ΔG, return ΔO. *)
-
-  val answer : t -> answer
-  (** The current Q(G). *)
-
-  val graph : t -> Digraph.t
-end
-
-module Kws_session : sig
-  include
-    Session
-      with type query = Ig_kws.Batch.query
-       and type answer = Digraph.node list
-       and type delta = Ig_kws.Inc_kws.delta
-       and type t = Ig_kws.Inc_kws.t
-
-  include SNAPSHOTTABLE with type t := t
-end
-
-module Rpq_session : sig
-  include
-    Session
-      with type query = Regex.t
-       and type answer = (Digraph.node * Digraph.node) list
-       and type delta = Ig_rpq.Inc_rpq.delta
-       and type t = Ig_rpq.Inc_rpq.t
-
-  include SNAPSHOTTABLE with type t := t
-end
-
-module Scc_session : sig
-  include
-    Session
-      with type query = unit
-       and type answer = Digraph.node list list
-       and type delta = Ig_scc.Inc_scc.delta
-       and type t = Ig_scc.Inc_scc.t
-
-  include SNAPSHOTTABLE with type t := t
-end
-
-module Iso_session : sig
-  include
-    Session
-      with type query = Ig_iso.Pattern.t
-       and type answer = Ig_iso.Vf2.mapping list
-       and type delta = Ig_iso.Inc_iso.delta
-       and type t = Ig_iso.Inc_iso.t
-
-  include SNAPSHOTTABLE with type t := t
-end
-
-module Sim_session : sig
-  include
-    Session
-      with type query = Ig_iso.Pattern.t
-       and type answer = (int * Digraph.node) list
-       and type delta = Ig_sim.Inc_sim.delta
-       and type t = Ig_sim.Inc_sim.t
-
-  include SNAPSHOTTABLE with type t := t
 end

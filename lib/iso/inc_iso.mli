@@ -84,7 +84,7 @@ val check_invariants : t -> unit
     index is consistent. @raise Failure on violation. *)
 
 val cert_snapshot : t -> (string * string) list
-(** SNAPSHOTTABLE: every current match (canonical image plus
+(** Certificate dump: every current match (canonical image plus
     pattern-indexed mapping) in {!Vf2.compare_canon} order, as named
     canonical-text sections (hash-seed independent), for durable
     certificate snapshots. *)

@@ -3,10 +3,10 @@
     A snapshot captures the full journaled state at a sequence number: the
     graph (canonical {!Ig_graph.Io} text), its digest, the canonical answer
     digest, and the engine's certificate store as serialized by its
-    [cert_snapshot] (the SNAPSHOTTABLE capability) — the memoized
-    intermediate results that make the computation incremental. Recovery
-    starts from the newest intact snapshot at or below the target sequence
-    and replays only the journal tail beyond it.
+    [cert_snapshot] — the memoized intermediate results that make the
+    computation incremental. Recovery starts from the newest intact
+    snapshot at or below the target sequence and replays only the journal
+    tail beyond it.
 
     Snapshots are JSON files ([snapshot-<seq>.json]) carrying an MD5
     checksum over their own canonical serialization; a snapshot that fails

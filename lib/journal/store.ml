@@ -188,6 +188,7 @@ let journal_batch t ~kind ops =
 
 let do_batch t updates =
   require_writable t "do_batch";
+  Digraph.check_batch (t.client.graph ()) updates;
   Obs.with_span t.obs "journal_append" (fun () ->
       match Journal.effective_ops (t.client.graph ()) updates with
       | [] -> None
@@ -235,6 +236,7 @@ let snapshot t =
 
 let append_unapplied_for_crash_testing t updates =
   require_writable t "append_unapplied_for_crash_testing";
+  Digraph.check_batch (t.client.graph ()) updates;
   match Journal.effective_ops (t.client.graph ()) updates with
   | [] -> ()
   | ops -> ignore (journal_batch t ~kind:Record.Do ops)

@@ -35,7 +35,7 @@ type client = {
       (** hex digest of the canonical current answer; [""] when the
           caller has none *)
   certs : unit -> (string * string) list;
-      (** the engine's SNAPSHOTTABLE certificate dump *)
+      (** the engine's certificate dump ([cert_snapshot]) *)
 }
 
 val graph_client : Ig_graph.Digraph.t -> client
@@ -77,8 +77,10 @@ val attach :
 
 val do_batch : t -> Ig_graph.Digraph.update list -> Record.batch option
 (** Normalize, journal, apply, verify. [None] when the batch was entirely
-    ineffective (nothing journaled). @raise Failure on digest divergence
-    between the journal and the engine, or on a read-only store. *)
+    ineffective (nothing journaled). @raise Invalid_argument, before
+    anything is journaled, when the batch names an unknown node.
+    @raise Failure on digest divergence between the journal and the
+    engine, or on a read-only store. *)
 
 val undo : t -> k:int -> (Record.batch, string) result
 (** Roll back the last [k] batches with a compensating batch. The

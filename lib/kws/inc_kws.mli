@@ -124,6 +124,6 @@ val match_cost : t -> node -> int option
     match root. *)
 
 val cert_snapshot : t -> (string * string) list
-(** SNAPSHOTTABLE: the kdist lists, per-node keyword counts and match
+(** Certificate dump: the kdist lists, per-node keyword counts and match
     total as named canonical-text sections (hash-seed independent), for
     durable certificate snapshots. *)

@@ -127,7 +127,7 @@ val witness_path : t -> node -> node -> node list option
     graph (the paper's [mpre] chains, derived on demand). *)
 
 val cert_snapshot : t -> (string * string) list
-(** SNAPSHOTTABLE: the per-source pmark distances (keys decoded to
+(** Certificate dump: the per-source pmark distances (keys decoded to
     [(node, state)]), accepting-entry counts and match total as named
     canonical-text sections (hash-seed independent), for durable
     certificate snapshots. *)

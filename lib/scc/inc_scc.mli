@@ -157,7 +157,7 @@ val contracted : t -> Ig_graph.Digraph.t * node list array
     The array maps each contracted node to its members. *)
 
 val cert_snapshot : t -> (string * string) list
-(** SNAPSHOTTABLE: per-node component ids and Tarjan certificates, the
+(** Certificate dump: per-node component ids and Tarjan certificates, the
     topological rank order of live components, and the contracted edge
     multiset, as named canonical-text sections (hash-seed independent).
     The cert section is evidence for inspection: lazily maintained

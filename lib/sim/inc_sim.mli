@@ -72,6 +72,6 @@ val check_invariants : t -> unit
     @raise Failure on violation. *)
 
 val cert_snapshot : t -> (string * string) list
-(** SNAPSHOTTABLE: the simulation relation, per-pattern-edge support
+(** Certificate dump: the simulation relation, per-pattern-edge support
     counters and pair total as named canonical-text sections (hash-seed
     independent), for durable certificate snapshots. *)

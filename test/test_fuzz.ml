@@ -97,6 +97,50 @@ let durable_seeds =
 let durable_cases = List.map durable_case durable_seeds
 let durable_cases_csr = List.map durable_case (reseed durable_seeds)
 
+(* ---- journal headers rebuild the same engine ----------------------------- *)
+
+(* What a journal header records — [to_args] of the scenario's query —
+   must rebuild an engine with the same answer and certificates over the
+   base graph: that is all [incgraph replay] has to go on. *)
+let header_roundtrip_case name =
+  Alcotest.test_case name `Quick (fun () ->
+      for seed = 1 to 20 do
+        let rng = Random.State.make [| 0x4ead; seed |] in
+        let s = Option.get (Sc.by_name ~rng name) in
+        let cls, bound, args = A.to_args s.Sc.query in
+        match A.of_args ~cls ~bound ~args with
+        | Error e -> Alcotest.failf "seed %d: %s" seed e
+        | Ok q ->
+            let direct = s.Sc.make () and rebuilt = A.make q s.Sc.base in
+            check Alcotest.string
+              (Printf.sprintf "seed %d answer" seed)
+              (direct.O.answer ()) (rebuilt.O.answer ());
+            check
+              Alcotest.(list (pair string string))
+              (Printf.sprintf "seed %d certificates" seed)
+              (direct.O.cert_snapshot ()) (rebuilt.O.cert_snapshot ())
+      done)
+
+let header_roundtrip_cases =
+  List.map header_roundtrip_case [ "kws"; "rpq"; "scc"; "sim"; "iso"; "gadget" ]
+
+(* Malformed command-line queries are [Error]s, never exceptions. *)
+let bad_args_case (what, cls, args) =
+  Alcotest.test_case what `Quick (fun () ->
+      match A.of_args ~cls ~bound:2 ~args with
+      | Ok _ -> Alcotest.failf "%s accepted" what
+      | Error _ -> ())
+
+let bad_args_cases =
+  List.map bad_args_case
+    [
+      ("out-of-range pattern edge", "iso", [ "l0"; "l1"; "0-5" ]);
+      ("pattern without labels", "iso", [ "0-1" ]);
+      ("disconnected pattern", "sim", [ "l0"; "l1"; "l2"; "0-1" ]);
+      ("bad regex", "rpq", [ "l1 . (" ]);
+      ("unknown class", "bfs", [ "l1" ]);
+    ]
+
 (* ---- malformed batches --------------------------------------------------- *)
 
 (* A batch naming a node that does not exist must be rejected before any
@@ -267,33 +311,29 @@ let test_mutation_kdist_detected () =
    The engine stays internally consistent — check_invariants cannot see the
    bug; only the differential comparison can. The harness must catch the
    first divergence and ddmin the stream to a minimal reproducer. *)
-module Buggy_scc = struct
-  module I = Ig_scc.Inc_scc
-
-  type t = { eng : I.t; truth : Digraph.t }
-  type query = unit
-
-  let name = "buggy-scc"
-
-  let init g () =
-    { eng = I.init ~trace:(Ig_obs.Tracer.create ()) (Digraph.copy g);
-      truth = g }
-  let graph t = t.truth
-
-  let apply t u =
-    ignore (Digraph.apply t.truth u);
+let buggy_scc g =
+  let module I = Ig_scc.Inc_scc in
+  let eng = I.init ~trace:(Ig_obs.Tracer.create ()) (Digraph.copy g) in
+  let apply u =
+    ignore (Digraph.apply g u);
     match u with
     | Digraph.Delete (0, _) -> () (* the planted bug *)
-    | Digraph.Insert (a, b) -> I.insert_edge t.eng a b
-    | Digraph.Delete (a, b) -> I.delete_edge t.eng a b
-
-  let answer t = A.canon_comps (I.components t.eng)
-  let recompute t = A.canon_comps (Ig_scc.Tarjan.scc t.truth)
-  let check_invariants t = I.check_invariants t.eng
-  let obs t = I.obs t.eng
-  let trace t = I.trace t.eng
-  let cert_snapshot t = I.cert_snapshot t.eng
-end
+    | Digraph.Insert (a, b) -> I.insert_edge eng a b
+    | Digraph.Delete (a, b) -> I.delete_edge eng a b
+  in
+  {
+    O.name = "buggy-scc";
+    graph = g;
+    apply;
+    apply_batch = (fun us -> List.iter apply us; (0, 0));
+    size = (fun () -> List.length (I.components eng));
+    answer = (fun () -> A.canon_comps (I.components eng));
+    recompute = (fun () -> A.canon_comps (Ig_scc.Tarjan.scc g));
+    check_invariants = (fun () -> I.check_invariants eng);
+    obs = I.obs eng;
+    trace = I.trace eng;
+    cert_snapshot = (fun () -> I.cert_snapshot eng);
+  }
 
 let test_mutation_buggy_engine_shrinks () =
   let g = Digraph.create () in
@@ -303,9 +343,7 @@ let test_mutation_buggy_engine_shrinks () =
   List.iter
     (fun (u, v) -> ignore (Digraph.add_edge g u v))
     [ (0, 1); (1, 2); (2, 0); (3, 4); (4, 3); (2, 3) ];
-  let make () =
-    O.Packed ((module Buggy_scc), Buggy_scc.init (Digraph.copy g) ())
-  in
+  let make () = buggy_scc (Digraph.copy g) in
   match H.run ~make ~focus:[ (0, 1) ] ~steps:200 ~seed:5 () with
   | Ok _ -> Alcotest.fail "planted divergence went undetected"
   | Error f ->
@@ -359,6 +397,8 @@ let () =
       ("durable fuzz", durable_cases);
       ("durable fuzz csr", durable_cases_csr);
       ("malformed batch", List.map malformed_case malformed_engines);
+      ("header round-trip", header_roundtrip_cases);
+      ("malformed query", bad_args_cases);
       ( "stream driver",
         [
           Alcotest.test_case "deterministic" `Quick test_stream_deterministic;

@@ -420,6 +420,38 @@ let test_write_ahead_crash () =
             (D.mem_edge g 5 3);
           St.close st)
 
+(* A batch naming an unknown node is rejected before anything is
+   journaled: the tip stays put and the session still recovers (a
+   journaled bad batch would fail every later replay). *)
+let test_unknown_node_rejected () =
+  let dir = fresh_dir () in
+  let store, _ = mk_store dir in
+  ignore (St.do_batch store [ D.Insert (4, 5) ]);
+  let tip = St.tip store and digest = St.digest store in
+  let rejects name f =
+    (match f () with
+    | _ -> Alcotest.failf "%s: unknown node accepted" name
+    | exception Invalid_argument _ -> ());
+    check Alcotest.int (name ^ ": tip unchanged") tip (St.tip store);
+    check Alcotest.string (name ^ ": graph unchanged") digest (St.digest store)
+  in
+  rejects "do_batch" (fun () ->
+      ignore (St.do_batch store [ D.Insert (5, 3); D.Insert (0, 99999) ]));
+  rejects "append_unapplied" (fun () ->
+      St.append_unapplied_for_crash_testing store [ D.Delete (99999, 0) ]);
+  St.close store;
+  match St.plan ~dir () with
+  | Error e -> Alcotest.fail e
+  | Ok plan -> (
+      check Alcotest.int "nothing journaled" tip plan.St.tip;
+      let g = Sn.graph plan.St.snapshot in
+      match St.attach ~dir ~plan ~client:(St.graph_client g) () with
+      | Error e -> Alcotest.fail e
+      | Ok st ->
+          check Alcotest.string "recovers to the same graph" digest
+            (St.digest st);
+          St.close st)
+
 (* ---- the checks bite ------------------------------------------------------ *)
 
 let contains s sub =
@@ -615,6 +647,8 @@ let () =
             test_undo_of_undo_is_redo;
           Alcotest.test_case "as-of time travel" `Quick test_as_of_time_travel;
           Alcotest.test_case "write-ahead crash" `Quick test_write_ahead_crash;
+          Alcotest.test_case "unknown node rejected before journaling" `Quick
+            test_unknown_node_rejected;
         ] );
       ( "checks bite",
         [
